@@ -18,8 +18,6 @@
 //                          bit-identical for any value)
 //   ALAMR_TRACE=1          enable the observability layer (or pass
 //                          --trace <path> to also write the report)
-//   ALAMR_SCALAR_PREDICT=1 disable the fused batched posterior (P5
-//                          before/after arm; curves stay byte-identical)
 
 #include <cstdio>
 #include <cstdlib>
@@ -192,13 +190,6 @@ inline core::AlOptions al_options(std::size_t n_init, std::size_t iterations) {
   options.refit.restarts = 0;
   options.refit.max_opt_iterations = 10;
   options.rmse_stride = 1;
-  // ALAMR_SCALAR_PREDICT=1 replays the pre-arena per-candidate predict
-  // loop — the "before" arm of the EXPERIMENTS.md P5 wall-clock
-  // comparison. Curves are byte-identical either way.
-  if (const char* scalar = std::getenv("ALAMR_SCALAR_PREDICT");
-      scalar != nullptr && scalar[0] == '1') {
-    options.batched_predict = false;
-  }
   return options;
 }
 

@@ -365,62 +365,14 @@ void BM_GprPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_GprPredict)->Arg(100)->Arg(400)->Unit(benchmark::kMillisecond);
 
-// P3 — the AL per-iteration predict phase at n = 300 training points and
-// 300 candidates. Arg 0 replays the seed recipe: rebuild K(X_train, X_q)
-// from features, then one triangular solve + dot per candidate column
-// (re-streaming the whole factor once per column). Arg 1 is the simulator's
-// path with AlOptions::incremental_cross: the maintained cross-covariance
-// goes straight into predict_from_cross, whose chunked multi-column solves
-// stream the factor once.
-void BM_IncrementalPredict(benchmark::State& state) {
-  const bool incremental = state.range(1) != 0;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  stats::Rng rng(5);
-  const auto x = random_points(n, 5, rng);
-  std::vector<double> y(n);
-  for (double& v : y) v = rng.normal();
-  gp::GprOptions options;
-  options.optimize = false;
-  gp::GaussianProcessRegressor gpr(gp::make_paper_kernel(), options);
-  gpr.fit(x, y, rng);
-  const auto queries = random_points(300, 5, rng);
-
-  if (incremental) {
-    const linalg::Matrix k_star = gpr.kernel().cross(x, queries);
-    for (auto _ : state) {
-      auto pred = gpr.predict_from_cross(k_star, queries);
-      benchmark::DoNotOptimize(pred);
-    }
-    return;
-  }
-  const std::vector<double> prior = gpr.kernel().diagonal(queries);
-  const auto gram = gpr.kernel().gram(x);
-  const auto factor = *linalg::CholeskyFactor::factor(gram);
-  const linalg::Vector alpha = factor.solve(y);
-  for (auto _ : state) {
-    const linalg::Matrix k_star = gpr.kernel().cross(x, queries);
-    gp::Prediction pred;
-    pred.mean = linalg::matvec_transposed(k_star, alpha);
-    pred.stddev.resize(queries.rows());
-    std::vector<double> col(n);
-    for (std::size_t q = 0; q < queries.rows(); ++q) {
-      for (std::size_t i = 0; i < n; ++i) col[i] = k_star(i, q);
-      const linalg::Vector z = factor.solve_lower(col);
-      const double var = prior[q] - linalg::dot(z, z);
-      pred.stddev[q] = var > 0.0 ? std::sqrt(var) : 0.0;
-    }
-    benchmark::DoNotOptimize(pred);
-  }
-}
-BENCHMARK(BM_IncrementalPredict)->Args({300, 0})->Args({300, 1});
-
 // P5 — the fused batched posterior vs the per-candidate path it
 // supersedes, at n = 300 training points and 300 candidates. Arg 0 is the
 // historical per-candidate recipe: one 1-row predict() per candidate,
 // each rebuilding its own 1-column cross-covariance and re-streaming the
-// factor. Arg 1 is one GEMM-shaped predict_batch over a prebuilt cross
-// matrix with every temporary in a reused arena. The acceptance bar is
-// arm 1 >= 1.5x arm 0 (BENCH_PR5.json: BM_PredictBatch).
+// factor. Arg 1 is one GEMM-shaped sweep over a prebuilt cross matrix:
+// predict_batch_panel with the panel invalidated first, so every sweep
+// re-solves the full Z = L^-1 K* (the work a theta move costs). The
+// acceptance bar is arm 1 >= 1.5x arm 0 (BENCH_PR5.json: BM_PredictBatch).
 void BM_PredictBatch(benchmark::State& state) {
   const bool fused = state.range(1) != 0;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -438,11 +390,11 @@ void BM_PredictBatch(benchmark::State& state) {
   if (fused) {
     const linalg::Matrix k_star = gpr.kernel().cross(x, queries);
     const std::vector<double> prior = gpr.kernel().diagonal(queries);
-    linalg::Workspace ws;
     std::vector<double> mean(m);
     std::vector<double> stddev(m);
     for (auto _ : state) {
-      gpr.predict_batch(k_star, prior, ws, mean, stddev);
+      gpr.panel_invalidate();
+      gpr.predict_batch_panel(k_star, prior, mean, stddev);
       benchmark::DoNotOptimize(mean);
       benchmark::DoNotOptimize(stddev);
     }
@@ -467,20 +419,16 @@ BENCHMARK(BM_PredictBatch)->Args({300, 0})->Args({300, 1});
 
 // P8 — the steady-state AL sweep the candidate panel accelerates: each
 // iteration learns one point (O(n^2) factor extension), appends its
-// cross-covariance row, and re-sweeps all M = 300 candidates. Arg 0
-// re-solves the whole Z = L^-1 K* panel per sweep (O(M n^2)); Arg 1 is
+// cross-covariance row, and re-sweeps all M = 300 candidates through
 // predict_batch_panel, which resumes the forward substitution at the one
 // new row (O(M n)). Every 25 iterations the model rewinds to the base fit
-// (outside timing) so the factor stays near n; the panel arm re-warms its
-// panel inside the paused region, so its timed sweeps are pure appends —
-// the rebuild cost a theta move would pay is exactly what arm 0 measures,
-// and keeping it out of arm 1 keeps the median stable under the
-// bench-trend gate's short runs. The acceptance bar is arm 1 >= 5x arm 0
-// at n = 800 (BENCH_PR8.json: BM_SweepIncremental). Counter deltas
+// (outside timing) so the factor stays near n; the panel is re-warmed
+// inside the paused region, so the timed sweeps are pure appends, which
+// keeps the median stable under the bench-trend gate's short runs. The
+// full re-solve arm (/0) is recorded in BENCH_PR8.json. Counter deltas
 // (rows_appended / rebuilds) are read per run — the global sink is
 // cleared at entry so repetitions don't bleed together.
 void BM_SweepIncremental(benchmark::State& state) {
-  const bool panel = state.range(1) != 0;
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t m = 300;
   constexpr std::size_t kWindow = 25;
@@ -503,7 +451,6 @@ void BM_SweepIncremental(benchmark::State& state) {
   const auto x_new = random_points(kWindow, 5, rng);
   const linalg::Matrix new_rows = base.kernel().cross(x_new, queries);
 
-  linalg::Workspace ws;
   std::vector<double> mean(m);
   std::vector<double> stddev(m);
   gp::GaussianProcessRegressor gpr = base;
@@ -517,47 +464,34 @@ void BM_SweepIncremental(benchmark::State& state) {
       gpr = base;
       k_star = base_k_star;
       k_star.reserve(n + kWindow, m);
-      if (panel) gpr.predict_batch_panel(k_star, prior, ws, mean, stddev);
+      gpr.predict_batch_panel(k_star, prior, mean, stddev);
       step = 0;
       state.ResumeTiming();
     }
     gpr.add_point(x_new.row(step), 0.5);
     k_star.push_row(new_rows.row(step));
-    if (panel) {
-      gpr.predict_batch_panel(k_star, prior, ws, mean, stddev);
-    } else {
-      gpr.predict_batch(k_star, prior, ws, mean, stddev);
-    }
+    gpr.predict_batch_panel(k_star, prior, mean, stddev);
     ++step;
     ++sweeps;
     benchmark::DoNotOptimize(mean);
     benchmark::DoNotOptimize(stddev);
   }
   core::trace::set_enabled(was_enabled);
-  if (panel) {
-    const core::trace::TraceReport report = core::trace::global_report();
-    state.counters["rows_appended"] =
-        static_cast<double>(report.counter("panel.rows_appended"));
-    state.counters["rebuilds"] =
-        static_cast<double>(report.counter("panel.rebuilds"));
-    state.counters["sweeps"] = static_cast<double>(sweeps);
-  }
+  const core::trace::TraceReport report = core::trace::global_report();
+  state.counters["rows_appended"] =
+      static_cast<double>(report.counter("panel.rows_appended"));
+  state.counters["rebuilds"] =
+      static_cast<double>(report.counter("panel.rebuilds"));
+  state.counters["sweeps"] = static_cast<double>(sweeps);
 }
-BENCHMARK(BM_SweepIncremental)
-    ->Args({50, 0})
-    ->Args({50, 1})
-    ->Args({200, 0})
-    ->Args({200, 1})
-    ->Args({800, 0})
-    ->Args({800, 1});
+BENCHMARK(BM_SweepIncremental)->Args({50, 1})->Args({200, 1})->Args({800, 1});
 
 // P5 — one full AL pass through the public simulator API, with heap
-// allocations counted by this binary's operator-new override. Arg 0 runs
-// the scalar per-pass posterior (batched_predict = false); Arg 1 the
-// fused arena path. allocs_per_iter is the decisive counter: the arena
-// path's steady-state predict phase contributes zero.
+// allocations counted by this binary's operator-new override.
+// allocs_per_iter is the decisive counter: the arena path's steady-state
+// predict phase contributes zero. The scalar per-pass posterior arm (/0)
+// is recorded in BENCH_PR5.json.
 void BM_ArenaPass(benchmark::State& state) {
-  const bool arena = state.range(1) != 0;
   const data::Dataset dataset = testing::synthetic_amr_dataset(200, 99);
   core::AlOptions options;
   options.n_test = 40;
@@ -567,7 +501,6 @@ void BM_ArenaPass(benchmark::State& state) {
   options.initial_fit.max_opt_iterations = 30;
   options.refit.restarts = 0;
   options.refit.max_opt_iterations = 0;
-  options.batched_predict = arena;
   const core::AlSimulator simulator(dataset, options);
   const core::Rgma rgma(simulator.memory_limit_log10());
   stats::Rng partition_rng(31);
@@ -586,20 +519,18 @@ void BM_ArenaPass(benchmark::State& state) {
   state.counters["allocs_per_iter"] =
       static_cast<double>(allocs) / static_cast<double>(iterations);
 }
-BENCHMARK(BM_ArenaPass)->Args({200, 0})->Args({200, 1})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ArenaPass)->Args({200, 1})->Unit(benchmark::kMillisecond);
 
 // P7 — PosteriorBackend cost at the fit and candidate-sweep bottlenecks.
 // Arg 0 is the exact backend (the seed GPR recipe through the interface),
 // Arg 1 the subset-of-data backend at capacity 128 — the configuration
-// that makes 10^5-candidate pools tractable (EXPERIMENTS.md §P7). Both
-// arms share the plain rebuild recipe (no incremental caches), so the
-// numbers isolate the approximation's O(n^3) -> O(m^3) / O(n^2 M) ->
-// O(m^2 M) wins rather than cache warm-up effects.
+// that makes 10^5-candidate pools tractable (EXPERIMENTS.md §P7). The fit
+// arms isolate the approximation's O(n^3) -> O(m^3) win. In the sweep
+// arms both backends keep their cross matrix and candidate panel across
+// repeated sweeps of the same pool, so each timed sweep is a panel resume
+// at unchanged n (the mean pass plus the variance finalize).
 gp::BackendOptions bench_backend_options(bool approx) {
   gp::BackendOptions options;
-  options.incremental_refit = false;
-  options.incremental_cross = false;
-  options.batched_predict = true;
   if (approx) {
     options.kind = gp::BackendKind::kSubsetOfData;
     options.inducing_points = 128;
@@ -700,14 +631,12 @@ void BM_SimdKernels(benchmark::State& state) {
 BENCHMARK(BM_SimdKernels)->Args({256, 0})->Args({256, 1})->Args({4096, 0})->Args({4096, 1});
 
 // Trajectory fan-out on the thread pool: 4 independent AL trajectories
-// with Args({lanes, shared}). Results are bit-identical across lane
-// counts (each trajectory has its own derived rng stream) and across the
-// shared flag (gathered distances carry the same bits); only wall-clock
-// moves. The shared arms build the dataset-wide DistanceBase once and
-// hand it to every trajectory, replacing each member's from-scratch
-// distance passes with gathers — the P6 acceptance bar is shared >=
-// unshared at equal lanes (BENCH_PR6.json: BM_TrajectoryBatch). The
-// 50-pass trajectories mirror the paper's fig4/fig5 workload, where
+// at Args({lanes, 1}). Results are bit-identical across lane counts (each
+// trajectory has its own derived rng stream); only wall-clock moves.
+// run_batch builds the dataset-wide DistanceBase once and hands it to
+// every trajectory, replacing each member's from-scratch distance passes
+// with gathers; the unshared arms (/0) are recorded in BENCH_PR6.json.
+// The 50-pass trajectories mirror the paper's fig4/fig5 workload, where
 // per-pass cross/test evaluations dominate the one-time initial fit.
 void BM_TrajectoryBatch(benchmark::State& state) {
   const data::Dataset dataset = testing::synthetic_amr_dataset(200, 99);
@@ -725,16 +654,13 @@ void BM_TrajectoryBatch(benchmark::State& state) {
   batch.trajectories = 4;
   batch.seed = 1234;
   batch.threads = static_cast<std::size_t>(state.range(0));
-  batch.shared_context = state.range(1) != 0;
   for (auto _ : state) {
     auto results = core::run_batch(simulator, rgma, batch);
     benchmark::DoNotOptimize(results);
   }
 }
 BENCHMARK(BM_TrajectoryBatch)
-    ->Args({1, 0})
     ->Args({1, 1})
-    ->Args({4, 0})
     ->Args({4, 1})
     ->Unit(benchmark::kMillisecond);
 
@@ -813,19 +739,14 @@ BENCHMARK(BM_AmrRegrid)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // P10 — multi-tenant session engine: requests served per second at
 // 64/256/1024 concurrent tenants (BENCH_PR10.json: BM_SessionThroughput).
-// Arm /0 drives every tenant down the per-session-serial reference path:
-// synchronous suggest/observe, a fresh O(M n^2) posterior sweep per
-// suggest, retrains inline on the request path. Arm /1 drives the same
-// tenants through the queued protocol: drain() coalesces each round's
-// suggest work into one micro-batched pass whose sweeps resume the
+// Every tenant goes through the queued protocol: drain() coalesces each
+// round's suggest work into one micro-batched pass whose sweeps resume the
 // cross-iteration candidate panel (O(M n)) over a shared distance base,
-// and full refits run on background workers off the request path. Both
-// arms run the same retrain stride, so per-session trajectories are
-// byte-identical (pinned by tests_serve); only the cost of serving them
-// differs. Acceptance: /1 >= 3x /0 at 256 sessions.
+// and full refits run on a background worker off the request path. The
+// per-session-serial reference arm (/0: fresh O(M n^2) sweeps, inline
+// retrains) is recorded in BENCH_PR10.json.
 void BM_SessionThroughput(benchmark::State& state) {
   const std::size_t sessions = static_cast<std::size_t>(state.range(0));
-  const bool batched = state.range(1) != 0;
 
   constexpr std::size_t kPerAxis = 20;  // 400-candidate grid per tenant
   linalg::Matrix grid(kPerAxis * kPerAxis, 2);
@@ -853,59 +774,40 @@ void BM_SessionThroughput(benchmark::State& state) {
 
   std::size_t requests = 0;
   for (auto _ : state) {
-    core::ServeOptions serve;
-    serve.coalesce = batched;
-    serve.retrain_workers = batched ? 1 : 0;
-    core::SessionEngine engine(serve);
+    core::SessionEngine engine({.retrain_workers = 1});
     for (core::SessionId id = 1; id <= sessions; ++id) {
       options.seed = 1000 + id;
       engine.open_session(id, grid, strategy, options);
     }
-    if (batched) {
-      std::vector<char> done(sessions + 1, 0);
-      for (;;) {
-        bool any = false;
-        for (core::SessionId id = 1; id <= sessions; ++id) {
-          if (done[id]) continue;
-          engine.enqueue_suggest(id);
-          any = true;
-        }
-        if (!any) break;
-        requests += engine.drain();
-        for (core::SessionId id = 1; id <= sessions; ++id) {
-          if (done[id]) continue;
-          const std::optional<core::Suggestion> s = engine.take_suggestion(id);
-          if (!s || s->done) {
-            done[id] = 1;
-            continue;
-          }
-          const auto [cost, memory] = oracle(s->features);
-          engine.enqueue_observe(id, cost, memory);
-        }
-        requests += engine.drain();
-      }
-    } else {
+    std::vector<char> done(sessions + 1, 0);
+    for (;;) {
+      bool any = false;
       for (core::SessionId id = 1; id <= sessions; ++id) {
-        for (;;) {
-          const core::Suggestion s = engine.suggest(id);
-          ++requests;
-          if (s.done) break;
-          const auto [cost, memory] = oracle(s.features);
-          engine.observe(id, cost, memory);
-          ++requests;
-        }
+        if (done[id]) continue;
+        engine.enqueue_suggest(id);
+        any = true;
       }
+      if (!any) break;
+      requests += engine.drain();
+      for (core::SessionId id = 1; id <= sessions; ++id) {
+        if (done[id]) continue;
+        const std::optional<core::Suggestion> s = engine.take_suggestion(id);
+        if (!s || s->done) {
+          done[id] = 1;
+          continue;
+        }
+        const auto [cost, memory] = oracle(s->features);
+        engine.enqueue_observe(id, cost, memory);
+      }
+      requests += engine.drain();
     }
     benchmark::DoNotOptimize(engine.session_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(requests));
 }
 BENCHMARK(BM_SessionThroughput)
-    ->Args({64, 0})
     ->Args({64, 1})
-    ->Args({256, 0})
     ->Args({256, 1})
-    ->Args({1024, 0})
     ->Args({1024, 1})
     ->Unit(benchmark::kMillisecond);
 

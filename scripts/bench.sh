@@ -5,12 +5,17 @@
 # kernels) and BENCH_PR6.json (shared-context trajectory batches, plus
 # end-to-end fig4/fig5 wallclock at every runtime dispatch level).
 #
-# Each benchmark in the sets is registered twice: /0 replays the seed
-# (pre-PR) recipe through the public reference APIs, /1 runs the
-# optimized path.  Both arms live in the same binary so they share the
-# compiler, flags, and process state.  We take the median over several
-# repetitions because this box is a 1-vCPU VM with 10-30% run-to-run
-# drift; medians over >= 5 repetitions are stable to a few percent.
+# Each benchmark in the sets was registered twice when its record was
+# written: /0 replays the seed (pre-PR) recipe through the public reference
+# APIs, /1 runs the optimized path.  Both arms live in the same binary so
+# they share the compiler, flags, and process state.  The arms that
+# needed a since-removed option or entry point (BM_IncrementalPredict,
+# BM_ArenaPass/0, BM_SweepIncremental/0, BM_TrajectoryBatch/0,
+# BM_SessionThroughput/0) are gone; their numbers live only in the
+# write-once records, which a forced re-record of those sets would drop.
+# We take the median over several repetitions because this box is a
+# 1-vCPU VM with 10-30% run-to-run drift; medians over >= 5 repetitions
+# are stable to a few percent.
 #
 # Usage: scripts/bench.sh [build-dir]     (default: build)
 

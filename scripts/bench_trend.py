@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Bench-trend regression gate (scripts/check.sh).
 
-Runs the gate benchmarks (BM_PredictBatch, BM_TrajectoryBatch) fresh and
-compares each optimized-arm median against the most recent BENCH_PR*.json
+Runs the optimized (/1) arms of the gate families (GATE_FAMILIES below)
+fresh and compares each median against the most recent BENCH_PR*.json
 that records it. Fails (exit 1) when a fresh median is more than
 --tolerance (default 10%) slower than the recorded one.
 
@@ -59,8 +59,7 @@ def fresh_medians(bench_binary, repetitions):
     out = tempfile.NamedTemporaryFile(suffix=".json", delete=False)
     out.close()
     # Only the optimized arm (/1) is gated, so only it is re-measured —
-    # the /0 arms exist to record speedups at PR time, and some (the
-    # 1024-session serial serve) are far too slow for a CI gate.
+    # the /0 arms that remain exist to record speedups at PR time.
     pattern = "|".join(GATE_FAMILIES)
     subprocess.run(
         [

@@ -35,22 +35,21 @@
 #                    assertions (steady_growth == 0, scope_leaks == 0)
 #                    must hold, i.e. the steady-state AL pass is heap-free
 #                    and the arena footprint stops growing after pass 0
-#  10. bench trend — scripts/bench_trend.py runs the gate benchmarks
-#                    (BM_PredictBatch, BM_TrajectoryBatch) fresh and
-#                    fails on a >10% slowdown against the medians
-#                    recorded in BENCH_PR*.json. Skip on hosts whose
-#                    numbers are not comparable to the records with
+#  10. bench trend — scripts/bench_trend.py runs the optimized (/1) arms
+#                    of the six gate families (BM_PredictBatch,
+#                    BM_TrajectoryBatch, BM_BackendFit,
+#                    BM_BackendPredictBatch, BM_SweepIncremental,
+#                    BM_SessionThroughput) fresh and fails on a >10%
+#                    slowdown against the medians recorded in
+#                    BENCH_PR*.json. Skip on hosts whose numbers are not
+#                    comparable to the records with
 #                    ALAMR_SKIP_BENCH_TREND=1
 #  11. backends    — the PosteriorBackend parity suite (tests_backends)
 #                    as an explicit leg on the plain build, serial and
 #                    ALAMR_THREADS=4: exact backend byte-identity through
 #                    the interface, approximate-backend tolerance goldens,
 #                    parity gates, faults, and checkpoint round-trips
-#  12. panel       — the candidate-panel suites (tests_panel plus the
-#                    panel-off GoldenTrajectory arms) serial and
-#                    ALAMR_THREADS=4, mirroring the batched-off arm so
-#                    the panel_predict=false fallback path can't rot
-#  13. resilience  — the serving-core resilience suites (executor,
+#  12. resilience  — the serving-core resilience suites (executor,
 #                    breaker/ladder, durable checkpoints, online
 #                    halt/resume) under armed io.* fault plans — torn
 #                    writes on every third save, short reads on first
@@ -60,11 +59,11 @@
 #                    faults firing process-wide
 #
 # Finally an explicit golden gate re-runs the golden-trajectory byte
-# comparisons (which sweep the cached-kernel / incremental-refit /
-# incremental-cross configurations internally) on the plain and native
-# builds, serial and with ALAMR_THREADS=4.  They already ran as part of
-# the full suites above; the separate step makes a golden break impossible
-# to miss in the output.
+# comparisons (the one posterior path, at 1 and 4 lanes internally, plus
+# the tolerance comparisons at every dispatch level) on the plain and
+# native builds, serial and with ALAMR_THREADS=4.  They already ran as part
+# of the full suites above; the separate step makes a golden break
+# impossible to miss in the output.
 #
 # Usage: scripts/check.sh [jobs]     (default: nproc)
 #
@@ -211,26 +210,6 @@ run_backends() {
 }
 run_backends serial 1
 run_backends threads4 4
-
-# Panel gate: the candidate-panel cache suites — GPR-level bitwise
-# identity across append/remove/invalidate cycles, trajectory-level
-# panel-on/off byte parity under faults and checkpoint resume, and the
-# panel-off golden arms — serial and under the 4-lane pool, so the
-# panel_predict=false fallback stays exercised like batched-off is.
-run_panel() {
-  local name="$1"
-  local threads="$2"
-  echo "=== [panel/$name] candidate-panel suites (ALAMR_THREADS=$threads) ==="
-  ALAMR_THREADS="$threads" ctest --test-dir build-check/plain --output-on-failure \
-    -R 'Panel' > /tmp/check_panel_"$name".log 2>&1 || {
-    tail -50 /tmp/check_panel_"$name".log
-    echo "FAILED: panel/$name (full log: /tmp/check_panel_$name.log)"
-    exit 1
-  }
-  tail -2 /tmp/check_panel_"$name".log
-}
-run_panel serial 1
-run_panel threads4 4
 
 # Serving gate (DESIGN.md §15): the multi-tenant session-engine suites —
 # engine-vs-driver byte identity at stride 1, batched-vs-serial arm

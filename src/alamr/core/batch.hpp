@@ -34,13 +34,6 @@ struct BatchOptions {
   /// trajectories deleted theirs, so a re-run after a crash redoes only
   /// the unfinished ones — and redoes them byte-identically).
   bool resume = false;
-
-  /// Build one immutable SharedBatchContext (the dataset-wide pairwise-
-  /// distance base) up front and hand it read-only to every trajectory,
-  /// so per-trajectory distance-cache (re)builds become gathers instead
-  /// of O(k^2 d) recomputation. Results are bitwise identical either way;
-  /// the flag exists so tests and benches can compare both paths.
-  bool shared_context = true;
 };
 
 /// Runs `options.trajectories` independent trajectories of `strategy`

@@ -25,7 +25,7 @@
 //
 // Happy-path contract: with no faults armed and no numerical failures,
 // every primitive here is byte-invisible — no rng draws, no FP work, no
-// clock reads, no trace counters. The 9 golden configs pin this.
+// clock reads, no trace counters. The golden trajectory pins this.
 
 #include <cstdint>
 #include <limits>

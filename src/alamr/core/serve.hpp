@@ -58,15 +58,6 @@ struct ServeOptions {
   /// Background retrain workers. 0 runs retrains inline at the point
   /// they are scheduled (same math, no off-path latency win).
   std::size_t retrain_workers = 2;
-  /// Micro-batching posture. true = the engine path: shared distance
-  /// base, panel sweeps, add_point extends between retrains. false = the
-  /// per-session-serial reference recipe (fresh predict() sweeps, no
-  /// shared context) — the bench baseline arm. Outputs are byte-identical
-  /// either way; only the cost of producing them changes.
-  bool coalesce = true;
-  /// Share one immutable GridContext between sessions opened on a
-  /// bit-identical grid (keyed by grid fingerprint).
-  bool share_grid_context = true;
   /// Checkpoint generations retained per session (PR9 frames).
   std::size_t checkpoint_retain = 3;
 };

@@ -166,49 +166,13 @@ struct AlOptions {
   /// of a trajectory is always freshly evaluated, whatever the stride.
   std::size_t rmse_stride = 1;
 
-  /// Per-iteration refits go through GaussianProcessRegressor::
-  /// fit_add_point: when the warm-started hyperparameter search leaves the
-  /// kernel parameters unchanged, the posterior is extended in O(n^2)
-  /// instead of rebuilt in O(n^3). Bit-identical to the full refit either
-  /// way; the flag exists so tests can compare both paths.
-  bool incremental_refit = true;
-
-  /// Keep K(X_train, X_active) alive across AL iterations: each step
-  /// erases the chosen candidate's column, appends one row for the
-  /// acquired point (sharing one pairwise-distance pass between the cost
-  /// and memory kernels), and falls back to a full rebuild only for models
-  /// whose refit moved the hyperparameters. Every retained entry keeps the
-  /// bits the full rebuild would produce, so trajectories are identical
-  /// either way; the flag exists so tests can compare both paths.
-  bool incremental_cross = true;
-
-  /// Predict over the remaining candidates through the fused batched
-  /// posterior (GaussianProcessRegressor::predict_batch): one pass over
-  /// the incremental K(X_train, X_active) cache with every temporary in
-  /// the per-trajectory workspace arena, so steady-state predict passes
-  /// perform zero heap allocations. Off = the historical per-call
-  /// Prediction path. Bit-identical either way (golden-tested); the flag
-  /// exists so tests and benches can compare both paths.
-  bool batched_predict = true;
-
-  /// Keep the solved candidate panel Z = L^{-1} K(X_train, X_active)
-  /// alive across AL iterations (DESIGN.md §13): when a refit extends the
-  /// Cholesky factor by one row, only the panel's new row is solved —
-  /// O(M n) per sweep instead of O(M n^2) — and the variance finalizes
-  /// from cached running column sums. Effective with incremental_cross
-  /// and batched_predict on the exact backend (and within a window epoch
-  /// on kSubsetOfData). Bit-identical either way (golden-tested); the
-  /// flag exists so tests and benches can compare both paths.
-  bool panel_predict = true;
-
   /// Posterior backend for the per-response surrogates (DESIGN.md §12):
-  /// kExact (default) is the byte-pinned seed recipe; kSubsetOfData and
-  /// kLocalExperts are the approximate backends that break the O(n^3)
-  /// refit wall for 10^5-candidate pools. The exact-path plumbing flags
-  /// inside BackendOptions (incremental_refit / incremental_cross /
-  /// batched_predict) are ignored here — the simulator copies the
-  /// AlOptions flags above in before constructing backends, so the
-  /// historical knobs keep working unchanged.
+  /// kExact (default) is the byte-pinned seed recipe — warm refits extend
+  /// the Cholesky factor in O(n^2) whenever theta holds, K(X_train,
+  /// X_active) is kept across iterations, and candidate sweeps resume the
+  /// solved panel (DESIGN.md §8, §10, §13); kSubsetOfData and kLocalExperts
+  /// are the approximate backends that break the O(n^3) refit wall for
+  /// 10^5-candidate pools.
   gp::BackendOptions backend;
 
   /// Turns on the process-wide observability layer (core/trace.hpp) from

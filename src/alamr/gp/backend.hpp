@@ -24,7 +24,7 @@
 //
 // Approximate backends are pinned by tolerance goldens and RMSE-parity
 // gates (tests/backend_parity.hpp); the exact backend stays pinned by the
-// byte-for-byte golden configs.
+// byte-for-byte golden trajectory.
 
 #include <functional>
 #include <memory>
@@ -51,26 +51,9 @@ enum class BackendKind {
 
 std::string to_string(BackendKind kind);
 
-/// Backend selection and sizing. The exact-path plumbing flags mirror
-/// AlOptions (the simulator copies them in before constructing backends);
-/// they only affect kExact, which must keep reproducing every historical
-/// configuration bit for bit.
+/// Backend selection and sizing.
 struct BackendOptions {
   BackendKind kind = BackendKind::kExact;
-
-  // kExact plumbing (AlOptions::incremental_refit / incremental_cross /
-  // batched_predict). kSubsetOfData honors incremental_refit for its
-  // within-capacity appends; kLocalExperts always refits incrementally
-  // inside the touched expert.
-  bool incremental_refit = true;
-  bool incremental_cross = true;
-  bool batched_predict = true;
-  /// Cross-iteration candidate panel (DESIGN.md §13): cache Z = L^{-1} K*
-  /// across sweeps and extend it by one row per incremental refit instead
-  /// of re-solving O(M n^2). Effective on kExact (with incremental_cross
-  /// and batched_predict) and kSubsetOfData (inside a window epoch);
-  /// byte-identical on or off.
-  bool panel_predict = true;
 
   /// kSubsetOfData: training-set capacity m. The subset is a pure
   /// function of the learned sequence — the first `anchors` points plus

@@ -16,7 +16,6 @@
 
 #include "alamr/gp/kernels.hpp"
 #include "alamr/linalg/cholesky.hpp"
-#include "alamr/linalg/workspace.hpp"
 #include "alamr/stats/rng.hpp"
 
 namespace alamr::gp {
@@ -35,11 +34,6 @@ struct GprOptions {
   /// Numerical jitter floor added to K_y when Cholesky requires it.
   double initial_jitter = 1e-12;
   double max_jitter = 1e-4;
-  /// Cache pairwise squared distances at fit() and evaluate optimizer
-  /// probes as elementwise transforms of the cache (DESIGN.md §8). Off
-  /// forces the direct-gram path everywhere; results are bit-identical
-  /// either way (golden-tested), so this exists for A/B testing only.
-  bool use_distance_cache = true;
 };
 
 /// Posterior mean and standard deviation at query points.
@@ -64,8 +58,9 @@ class GaussianProcessRegressor {
   /// Cholesky factor and alpha = K_y^{-1} y used by predict().
   /// `rng` drives the optional random restarts.
   ///
-  /// When `base` is non-null (and the distance cache is enabled), the
-  /// train-distance cache is GATHERED from the shared dataset-wide base
+  /// fit() always builds the pairwise squared-distance cache over x
+  /// (DESIGN.md §8); every optimizer probe is an elementwise transform of
+  /// it. When `base` is non-null, the cache is GATHERED from the shared dataset-wide base
   /// instead of recomputed: `rows` must list, for each row of x, its index
   /// in base.x() (so x == base.x()[rows] bit for bit). The gathered cache
   /// is bitwise identical to the recomputed one, so results do not depend
@@ -95,43 +90,21 @@ class GaussianProcessRegressor {
   /// Posterior mean and stddev at the rows of `x` (Eq. 3). Requires fit().
   Prediction predict(const Matrix& x) const;
 
-  /// predict() with a caller-supplied cross-covariance K(X_train, x)
-  /// (n_train x n_query, exactly what kernel().cross(x_train, x) returns).
-  /// The AL simulator maintains this matrix incrementally across
-  /// iterations; passing it here skips the O(n m d) rebuild. Bit-identical
-  /// to predict() when k_star holds the same bits. Requires fit().
-  Prediction predict_from_cross(const Matrix& k_star, const Matrix& x) const;
-
   /// Posterior mean only (cheaper: skips the variance solves).
   std::vector<double> predict_mean(const Matrix& x) const;
 
-  /// predict_mean() with a caller-supplied cross-covariance, mirroring
-  /// predict_from_cross(): the AL simulator gathers the test-set
-  /// distances from a shared DistanceBase instead of recomputing them
-  /// from features each evaluation. Bit-identical to predict_mean() when
-  /// k_star holds the same bits. Requires fit().
+  /// predict_mean() with a caller-supplied cross-covariance K(X_train, x)
+  /// (n_train x n_query): the AL simulator gathers the test-set distances
+  /// from a shared DistanceBase instead of recomputing them from features
+  /// each evaluation. Bit-identical to predict_mean() when k_star holds
+  /// the same bits. Requires fit().
   std::vector<double> predict_mean_from_cross(const Matrix& k_star) const;
 
-  /// Fused batched posterior (DESIGN.md §10): all candidate means and
-  /// stddevs in one pass over a caller-maintained cross-covariance, with
-  /// every temporary carved from `ws` — a steady-state call performs zero
-  /// heap allocations. `prior_diag` is kernel().diagonal(x) for the query
-  /// rows (the AL simulator caches it alongside k_star). Uses the cached
-  /// alpha = K_y^{-1}(y - mean), which is recomputed only on (re)fit.
-  /// Writes mean_out/stddev_out (both length k_star.cols()); per scalar
-  /// the operations are exactly predict_from_cross()'s, so the results
-  /// are bit-identical. Requires fit().
-  void predict_batch(const Matrix& k_star, std::span<const double> prior_diag,
-                     linalg::Workspace& ws, std::span<double> mean_out,
-                     std::span<double> stddev_out) const;
-
-  /// Convenience predict_batch(): builds k_star and the prior diagonal
-  /// itself (allocating) and returns a Prediction. Bit-identical to
-  /// predict(); exists for tests and benchmarks of the fused path.
-  Prediction predict_batch(const Matrix& x, linalg::Workspace& ws) const;
-
-  /// predict_batch() through the cross-iteration candidate panel
-  /// (DESIGN.md §13): the solved panel Z = L^{-1} K* and its running
+  /// Fused posterior sweep over a caller-maintained cross-covariance k_star
+  /// = K(X_train, X_q) through the cross-iteration candidate panel
+  /// (DESIGN.md §10, §13). `prior_diag` is kernel().diagonal() of the
+  /// query rows; alpha = K_y^{-1}(y - mean) is the cached one, recomputed
+  /// only on (re)fit. The solved panel Z = L^{-1} K* and its running
   /// squared-column accumulators persist inside the model between calls.
   /// When the posterior only grew by a one-row Cholesky extension since
   /// the previous sweep (unchanged hyperparameters), rows 0..n-1 of Z are
@@ -140,9 +113,9 @@ class GaussianProcessRegressor {
   /// accumulators as diag - acc. Any full posterior rebuild (theta move,
   /// jittered refactor, fault recovery, checkpoint resume) invalidates
   /// the panel and the next call rebuilds it from scratch. Both paths
-  /// perform, per scalar, exactly predict_batch()'s operations in the
-  /// same order, so the outputs are bit-identical to predict_batch() —
-  /// and therefore to predict() — at every thread count. The caller must
+  /// perform, per scalar, exactly predict()'s operations in the same
+  /// order, so the outputs are bit-identical to predict() at every thread
+  /// count. The caller must
   /// keep the panel aligned with k_star: panel_remove_column() mirrors
   /// every k_star column removal. Requires fit().
   /// `with_mean = false` skips the O(n m) posterior-mean pass (mean_out
@@ -150,11 +123,11 @@ class GaussianProcessRegressor {
   /// mean_from_cross_column(), bit-identical to the skipped pass.
   void predict_batch_panel(const Matrix& k_star,
                            std::span<const double> prior_diag,
-                           linalg::Workspace& ws, std::span<double> mean_out,
+                           std::span<double> mean_out,
                            std::span<double> stddev_out, bool with_mean = true);
 
   /// Posterior mean of one column of a caller-maintained cross matrix:
-  /// the exact entry a full predict_batch() mean pass over k_star would
+  /// the exact entry a full predict_batch_panel() mean pass over k_star would
   /// write at `col`, reproduced bit-for-bit (same ascending-row fused
   /// multiply-add chain through the dispatched axpy kernel, same final
   /// mean shift). O(n). Requires fit().
@@ -244,8 +217,8 @@ class GaussianProcessRegressor {
   /// stored factor carries jitter or the extension is not positive.
   void update_posterior_incremental();
 
-  /// Shared chunked variance kernel behind predict_from_cross(),
-  /// predict_batch(), and predict_batch_panel(): resumes the forward
+  /// Shared chunked variance kernel behind predict() and
+  /// predict_batch_panel(): resumes the forward
   /// substitution of Z = L^{-1} K* at `row_begin` into `z` (row i at
   /// z + i*m, m = k_star.cols()), folds the new rows' squares into `acc`
   /// (caller-initialized: zeros for a fresh sweep, the running panel sums

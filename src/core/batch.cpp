@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -32,11 +31,11 @@ std::vector<TrajectoryResult> run_batch(const AlSimulator& simulator,
                                     : options.threads,
                options.trajectories);
 
-  // One dataset-wide context serves every trajectory (they all run
-  // against the same scaled features); the workers only read it.
-  std::optional<SharedBatchContext> shared;
-  if (options.shared_context) shared.emplace(simulator.make_shared_context());
-  const SharedBatchContext* shared_ptr = shared ? &*shared : nullptr;
+  // One immutable dataset-wide context (the pairwise-distance base) serves
+  // every trajectory — they all run against the same scaled features, so
+  // per-trajectory distance-cache (re)builds become gathers. The workers
+  // only read it.
+  const SharedBatchContext shared = simulator.make_shared_context();
 
   // Trajectory fan-out on the pool. Each chunk owns a Strategy clone
   // (implementations are stateless, but cloning keeps the contract simple
@@ -53,7 +52,7 @@ std::vector<TrajectoryResult> run_batch(const AlSimulator& simulator,
         options.trajectories, [&](std::size_t begin, std::size_t end) {
           const std::unique_ptr<Strategy> local = strategy.clone();
           for (std::size_t t = begin; t < end; ++t) {
-            results[t] = simulator.run(*local, streams[t], shared_ptr);
+            results[t] = simulator.run(*local, streams[t], &shared);
           }
         });
   }
@@ -86,9 +85,7 @@ std::vector<BatchTrajectory> run_batch_isolated(const AlSimulator& simulator,
                                     : options.threads,
                options.trajectories);
 
-  std::optional<SharedBatchContext> shared;
-  if (options.shared_context) shared.emplace(simulator.make_shared_context());
-  const SharedBatchContext* shared_ptr = shared ? &*shared : nullptr;
+  const SharedBatchContext shared = simulator.make_shared_context();
 
   std::vector<BatchTrajectory> slots(options.trajectories);
   trace::count("batch.isolated_runs");
@@ -115,10 +112,10 @@ std::vector<BatchTrajectory> run_batch_isolated(const AlSimulator& simulator,
                 cfg.stride = options.checkpoint_stride;
                 cfg.resume = options.resume;
                 slots[t].result = simulator.run_resumable(
-                    *local, partition, streams[t], cfg, shared_ptr);
+                    *local, partition, streams[t], cfg, &shared);
               } else {
                 slots[t].result = simulator.run_with_partition(
-                    *local, partition, streams[t], shared_ptr);
+                    *local, partition, streams[t], &shared);
               }
               slots[t].ok = true;
             } catch (const std::exception& e) {

@@ -48,31 +48,28 @@ std::string grid_key(const linalg::Matrix& grid) {
 
 // ---------------------------------------------------------------------------
 // Immutable per-grid state, shared by every session opened on a
-// bit-identical grid: raw + scaled features, the fitted scaler, and (on
-// the coalescing path) the dataset-wide SharedBatchContext distance base
-// that fits and panel sweeps gather from. Strictly read-only after
-// construction, so sessions share it with no synchronization.
+// bit-identical grid: raw + scaled features, the fitted scaler, and the
+// dataset-wide SharedBatchContext distance base that fits and panel sweeps
+// gather from. Strictly read-only after construction, so sessions share it
+// with no synchronization.
 // ---------------------------------------------------------------------------
 
 struct GridContext {
   linalg::Matrix grid;  // raw features; row indices are session currency
   data::FeatureScaler scaler;
   linalg::Matrix grid_scaled;
-  std::optional<SharedBatchContext> batch;
+  SharedBatchContext batch;
   std::string key;
 
-  GridContext(linalg::Matrix g, bool with_base, std::string k)
+  GridContext(linalg::Matrix g, std::string k)
       : grid(std::move(g)),
         scaler(data::FeatureScaler::fit(grid)),
         grid_scaled(scaler.transform(grid)),
-        key(std::move(k)) {
-    if (with_base) {
-      batch.emplace(std::make_shared<const gp::DistanceBase>(grid_scaled));
-    }
-  }
+        batch(std::make_shared<const gp::DistanceBase>(grid_scaled)),
+        key(std::move(k)) {}
 
   const gp::DistanceBase* base() const noexcept {
-    return batch ? &batch->distance_base() : nullptr;
+    return &batch.distance_base();
   }
 };
 
@@ -108,7 +105,6 @@ struct RetrainJob {
   std::vector<double> ym;
   std::vector<std::size_t> rows;  // visited rows (distance-base gathers)
   std::shared_ptr<const GridContext> ctx;
-  bool use_base = false;
   bool initial = false;   // the one-time thorough initial fit
   gp::GprOptions fit_opts;     // effort of THIS retrain's fit
   gp::GprOptions extend_opts;  // left on the swapped-in model: add_point
@@ -126,14 +122,11 @@ void run_retrain_job(RetrainJob& job) {
     trace::ScopedCollector tc(*job.collector);
     std::optional<faults::ScopedFaultInjector> fi;
     if (job.injector) fi.emplace(*job.injector);
-    const gp::DistanceBase* base = job.use_base ? job.ctx->base() : nullptr;
-    const std::span<const std::size_t> rows =
-        base != nullptr ? std::span<const std::size_t>(job.rows)
-                        : std::span<const std::size_t>{};
+    const gp::DistanceBase* base = job.ctx->base();
     job.cost->set_fit_options(job.fit_opts);
     job.mem->set_fit_options(job.fit_opts);
-    job.cost->fit(job.x, job.yc, job.rng, base, rows);
-    job.mem->fit(job.x, job.ym, job.rng, base, rows);
+    job.cost->fit(job.x, job.yc, job.rng, base, job.rows);
+    job.mem->fit(job.x, job.ym, job.rng, base, job.rows);
     // Between retrains the request path only pays one-row Cholesky
     // extends at the theta this fit just produced — re-optimizing there
     // would put the full-refit cost back on the request path.
@@ -267,7 +260,7 @@ struct Session {
   stats::Rng rng{0};
   std::unique_ptr<gp::PosteriorBackend> model_cost;
   std::unique_ptr<gp::PosteriorBackend> model_mem;
-  std::optional<linalg::Workspace> ws;  // coalescing path only
+  std::optional<linalg::Workspace> ws;  // pass arena, sized at open
   linalg::Matrix x_active{0, 0};        // gathered remaining-candidate tile
 
   bool track_regret = false;
@@ -368,16 +361,11 @@ struct SessionEngine::Impl {
 
   std::shared_ptr<const GridContext> acquire_context(linalg::Matrix grid) {
     const std::string key = grid_key(grid);
-    if (!options_.share_grid_context) {
-      return std::make_shared<const GridContext>(std::move(grid),
-                                                 options_.coalesce, key);
-    }
     std::lock_guard<std::mutex> lk(contexts_mutex_);
     if (const auto it = contexts_.find(key); it != contexts_.end()) {
       if (std::shared_ptr<const GridContext> sp = it->second.lock()) return sp;
     }
-    auto sp = std::make_shared<const GridContext>(std::move(grid),
-                                                  options_.coalesce, key);
+    auto sp = std::make_shared<const GridContext>(std::move(grid), key);
     contexts_[key] = sp;
     return sp;
   }
@@ -433,16 +421,14 @@ struct SessionEngine::Impl {
     s->remaining.resize(rows);
     for (std::size_t i = 0; i < rows; ++i) s->remaining[i] = i;
 
-    if (options_.coalesce) {
-      // Pre-size the pass arena like the simulator does: both models'
-      // outputs coexist during a sweep, plus the larger scratch peak.
-      const gp::WorkspaceBound bc = s->model_cost->workspace_bound(
-          s->options.al.n_init, rows, s->options.al.iterations);
-      const gp::WorkspaceBound bm = s->model_mem->workspace_bound(
-          s->options.al.n_init, rows, s->options.al.iterations);
-      s->ws.emplace(std::max(bc.outputs + bc.scratch,
-                             bc.outputs + bm.outputs + bm.scratch));
-    }
+    // Pre-size the pass arena like the simulator does: both models'
+    // outputs coexist during a sweep, plus the larger scratch peak.
+    const gp::WorkspaceBound bc = s->model_cost->workspace_bound(
+        s->options.al.n_init, rows, s->options.al.iterations);
+    const gp::WorkspaceBound bm = s->model_mem->workspace_bound(
+        s->options.al.n_init, rows, s->options.al.iterations);
+    s->ws.emplace(std::max(bc.outputs + bc.scratch,
+                           bc.outputs + bm.outputs + bm.scratch));
     return s;
   }
 
@@ -466,7 +452,6 @@ struct SessionEngine::Impl {
     job->ym = s.log_mem;
     job->rows = s.visited;
     job->ctx = s.ctx;
-    job->use_base = options_.coalesce;
     job->initial = initial;
     job->fit_opts = initial ? s.options.al.initial_fit : s.options.al.refit;
     job->extend_opts = s.options.al.refit;
@@ -577,53 +562,32 @@ struct SessionEngine::Impl {
       out.done = true;
       return out;
     }
-    std::optional<std::size_t> pick;
-    double mu_c = 0.0;
-    double mu_m = 0.0;
-    std::size_t row = 0;
-    if (options_.coalesce) {
-      // Panel sweep over the shared-context pool: O(M·n) resume between
-      // retrains, bit-identical to the fresh predict() below.
-      gather_active(s);
-      linalg::Workspace::Scope scope(*s.ws);
-      const gp::CandidateRef pool{s.x_active, s.remaining};
-      // Strategies that never read candidate means (MaxSigma, RandUniform)
-      // let the backend skip the O(n·m) mean pass; only the one selected
-      // candidate's mean is recovered afterwards, bit-identically.
-      const bool with_mean = s.strategy->needs_mean();
-      const gp::PosteriorSpans pc =
-          s.model_cost->predict_candidates(pool, *s.ws, with_mean);
-      const gp::PosteriorSpans pm =
-          s.model_mem->predict_candidates(pool, *s.ws, with_mean);
-      const CandidateView view{s.x_active, pc.mean, pc.stddev, pm.mean,
-                               pm.stddev};
-      pick = s.strategy->select(view, s.rng);
-      if (pick) {
-        mu_c = pc.mean.empty() ? s.model_cost->candidate_mean(*pick)
-                               : pc.mean[*pick];
-        mu_m = pm.mean.empty() ? s.model_mem->candidate_mean(*pick)
-                               : pm.mean[*pick];
-      }
-    } else {
-      // Per-session-serial reference recipe: a fresh full sweep.
-      const linalg::Matrix x_remaining =
-          gather_rows(s.ctx->grid_scaled, s.remaining);
-      const gp::Prediction pred_cost = s.model_cost->predict(x_remaining);
-      const gp::Prediction pred_mem = s.model_mem->predict(x_remaining);
-      const CandidateView view{x_remaining, pred_cost.mean, pred_cost.stddev,
-                               pred_mem.mean, pred_mem.stddev};
-      pick = s.strategy->select(view, s.rng);
-      if (pick) {
-        mu_c = pred_cost.mean[*pick];
-        mu_m = pred_mem.mean[*pick];
-      }
-    }
+    // Panel sweep over the shared-context pool: O(M·n) resume between
+    // retrains, bit-identical to a fresh predict() sweep.
+    gather_active(s);
+    linalg::Workspace::Scope scope(*s.ws);
+    const gp::CandidateRef pool{s.x_active, s.remaining};
+    // Strategies that never read candidate means (MaxSigma, RandUniform)
+    // let the backend skip the O(n·m) mean pass; only the one selected
+    // candidate's mean is recovered afterwards, bit-identically.
+    const bool with_mean = s.strategy->needs_mean();
+    const gp::PosteriorSpans pc =
+        s.model_cost->predict_candidates(pool, *s.ws, with_mean);
+    const gp::PosteriorSpans pm =
+        s.model_mem->predict_candidates(pool, *s.ws, with_mean);
+    const CandidateView view{s.x_active, pc.mean, pc.stddev, pm.mean,
+                             pm.stddev};
+    const std::optional<std::size_t> pick = s.strategy->select(view, s.rng);
     if (!pick) {
       s.exhausted = true;
       out.done = true;
       return out;
     }
-    row = s.remaining[*pick];
+    const double mu_c = pc.mean.empty() ? s.model_cost->candidate_mean(*pick)
+                                        : pc.mean[*pick];
+    const double mu_m = pm.mean.empty() ? s.model_mem->candidate_mean(*pick)
+                                        : pm.mean[*pick];
+    const std::size_t row = s.remaining[*pick];
     s.pending = PendingSuggestion{*pick, row, mu_c, mu_m, /*initial=*/false};
     out.grid_row = row;
     const auto features = s.ctx->grid.row(row);
@@ -653,12 +617,9 @@ struct SessionEngine::Impl {
       return;
     }
     ++s.al_done;
-    if (options_.coalesce) {
-      // Keep the candidate-panel caches aligned with the shrunken pool
-      // (cache maintenance only — the serial path never builds a panel).
-      s.model_cost->remove_candidate(p.local);
-      s.model_mem->remove_candidate(p.local);
-    }
+    // Keep the candidate-panel caches aligned with the shrunken pool.
+    s.model_cost->remove_candidate(p.local);
+    s.model_mem->remove_candidate(p.local);
     learn(s, p.row, cost, memory, p.mu_c, p.mu_m, /*initial=*/false);
     ++s.since_retrain;
     if (s.since_retrain >= s.options.retrain_stride) {
@@ -672,7 +633,7 @@ struct SessionEngine::Impl {
     const double yc = s.log_cost.back();
     const double ym = s.log_mem.back();
     std::optional<gp::CandidateRef> after;
-    if (options_.coalesce && !s.remaining.empty()) {
+    if (!s.remaining.empty()) {
       gather_active(s);
       after.emplace(gp::CandidateRef{s.x_active, s.remaining});
     }
@@ -704,7 +665,7 @@ struct SessionEngine::Impl {
       return;
     }
     ++s.al_done;  // the iteration is consumed, like a driver give-up
-    if (options_.coalesce && s.initial_fit_done) {
+    if (s.initial_fit_done) {
       s.model_cost->remove_candidate(p.local);
       s.model_mem->remove_candidate(p.local);
     }
@@ -939,13 +900,8 @@ struct SessionEngine::Impl {
     s.model_mem->set_log_params(resumed->theta_mem);
     if (!s.visited.empty()) {
       const linalg::Matrix x = gather_rows(s.ctx->grid_scaled, s.visited);
-      const gp::DistanceBase* base =
-          options_.coalesce ? s.ctx->base() : nullptr;
-      const std::span<const std::size_t> rows =
-          base != nullptr ? std::span<const std::size_t>(s.visited)
-                          : std::span<const std::size_t>{};
-      s.model_cost->fit(x, s.log_cost, s.rng, base, rows);
-      s.model_mem->fit(x, s.log_mem, s.rng, base, rows);
+      s.model_cost->fit(x, s.log_cost, s.rng, s.ctx->base(), s.visited);
+      s.model_mem->fit(x, s.log_mem, s.rng, s.ctx->base(), s.visited);
     }
     s.rng.restore_state(resumed->rng);
     if (s.injector) {

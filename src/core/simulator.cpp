@@ -130,16 +130,15 @@ std::string AlSimulator::trajectory_fingerprint(
   add_gpr_options(options_.initial_fit);
   add_gpr_options(options_.refit);
   fp.add(static_cast<std::uint64_t>(options_.rmse_stride));
-  fp.add(options_.incremental_refit);
-  fp.add(options_.incremental_cross);
-  fp.add(options_.batched_predict);
-  // panel_predict is deliberately NOT fingerprinted: the candidate panel
-  // is derived state (rebuilt bit-identically from the factor and cross
-  // matrix), so a checkpoint written with the panel on resumes
-  // byte-identically with it off and vice versa.
+  // The retired incremental_refit / incremental_cross / batched_predict
+  // switches (always on now) keep their bytes, so checkpoints written while
+  // they existed still validate.
+  fp.add(true);
+  fp.add(true);
+  fp.add(true);
   // Backend identity: an approximate posterior produces a different (and
   // non-resumable-into-each-other) trajectory, so kind and sizing are part
-  // of the fingerprint. The plumbing flags are already covered above.
+  // of the fingerprint.
   fp.add(gp::to_string(options_.backend.kind));
   fp.add(static_cast<std::uint64_t>(options_.backend.inducing_points));
   fp.add(static_cast<std::uint64_t>(options_.backend.sod_anchors));
@@ -305,20 +304,13 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
   const std::vector<double> mem_test = gather(dataset_.memory, partition.test);
 
   // Per-response posterior backends (DESIGN.md §12), fitted on the Init
-  // partition with the thorough options. The exact-path plumbing flags are
-  // copied from AlOptions so the historical knobs keep selecting the same
-  // code paths inside the exact backend.
-  gp::BackendOptions backend_options = options_.backend;
-  backend_options.incremental_refit = options_.incremental_refit;
-  backend_options.incremental_cross = options_.incremental_cross;
-  backend_options.batched_predict = options_.batched_predict;
-  backend_options.panel_predict = options_.panel_predict;
+  // partition with the thorough options.
   const auto kernel_factory = [this] { return make_kernel(); };
   const std::unique_ptr<gp::PosteriorBackend> backend_cost =
-      gp::make_resilient_backend(backend_options, options_.resilience,
+      gp::make_resilient_backend(options_.backend, options_.resilience,
                                  kernel_factory, options_.initial_fit);
   const std::unique_ptr<gp::PosteriorBackend> backend_mem =
-      gp::make_resilient_backend(backend_options, options_.resilience,
+      gp::make_resilient_backend(options_.backend, options_.resilience,
                                  kernel_factory, options_.initial_fit);
   // Concrete handles for the resilience surface (null when the layer is
   // disabled): injected acquisition timeouts are attributed to both
@@ -564,11 +556,10 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
     const linalg::Workspace::Scope pass_scope(ws);
 
     // Algorithm 1, lines 3-4: predict over remaining candidates. Each
-    // backend runs its own posterior sweep (the exact backend reproduces
-    // the historical incremental-cross / fused-batch / plain branching
-    // internally, counters included); outputs land in spans that stay
-    // valid until the backend's next fit/add_point/predict call or the
-    // pass scope rewinds.
+    // backend runs its own posterior sweep (the exact backend resumes its
+    // candidate panel over the kept cross matrix); outputs land in spans
+    // that stay valid until the backend's next fit/add_point/predict call
+    // or the pass scope rewinds.
     gather_rows_into(x_scaled_, active, x_active_buf);
     const gp::CandidateRef pool{x_active_buf, active};
     std::span<const double> mu_c;
@@ -713,11 +704,10 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
 
     // Lines 10-11: warm-started refit of both models on Init + Learned.
     // Each backend appends the point and refits its own way (the exact
-    // backend through fit_add_point or the full refit per the plumbing
-    // flags, approximate backends through their bounded updates). `after`
-    // describes the POST-acquisition candidate pool for cross-cache row
-    // appends; x_active_buf is free for reuse here — the CandidateView
-    // and its record reads are done for this pass.
+    // backend through fit_add_point, approximate backends through their
+    // bounded updates). `after` describes the POST-acquisition candidate
+    // pool for cross-cache row appends; x_active_buf is free for reuse
+    // here — the CandidateView and its record reads are done for this pass.
     {
       const trace::ScopedTimer timer("refit");
       std::optional<gp::CandidateRef> after;
@@ -798,11 +788,11 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
     last.rmse_cost_weighted = weighted(cost_mu_log);
   }
 
-  // A completed trajectory retires its checkpoint; a halted one leaves the
-  // file in place for the next shard to resume.
+  // A completed trajectory retires its checkpoint — every rotated
+  // generation, or a later resume at this path would fall back to one; a
+  // halted one leaves the files in place for the next shard to resume.
   if (!halted && checkpoint != nullptr && !checkpoint->path.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(checkpoint->path, ec);
+    remove_checkpoint(checkpoint->path, checkpoint->retain);
   }
 
   // Arena instrumentation. Counters exist only when counted, and every
@@ -851,10 +841,8 @@ TrajectoryResult AlSimulator::run_batched(const Strategy& strategy,
   const std::vector<double> cost_test = gather(dataset_.cost, partition.test);
   const std::vector<double> mem_test = gather(dataset_.memory, partition.test);
 
-  // Batch rounds run the plain fit/predict recipe (no incremental caches),
-  // so the backends only need their kind — the exact-path plumbing flags
-  // never come into play through the predict()/predict_mean() entry
-  // points used below.
+  // Batch rounds run the plain fit/predict recipe through the
+  // predict()/predict_mean() entry points (no candidate caches).
   const auto kernel_factory = [this] { return make_kernel(); };
   const std::unique_ptr<gp::PosteriorBackend> backend_cost =
       gp::make_resilient_backend(options_.backend, options_.resilience,

@@ -44,22 +44,21 @@ double bits_from_hex(const std::string& text) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend zero: the exact GaussianProcessRegressor, carrying over the
-// simulator's incremental K(X_train, X_active) bookkeeping verbatim. Every
-// branch below reproduces the corresponding historical simulator branch
-// operation for operation (counters included), which is what keeps the
-// nine golden configs byte-identical through the interface.
+// Backend zero: the exact GaussianProcessRegressor plus the AL loop's
+// incremental candidate bookkeeping. Warm refits go through fit_add_point
+// (an O(n^2) extension whenever theta did not move); K(X_learned, X_active)
+// survives across iterations — an acquisition appends its 1 x m row, a
+// removed candidate becomes a tombstoned column, and a theta move or a
+// jittered refactor forces a rebuild; every sweep runs through the GPR's
+// cross-iteration panel (DESIGN.md §13). Each step performs the seed
+// recipe's arithmetic operation for operation, which keeps the golden
+// trajectory byte-identical through the interface.
 // ---------------------------------------------------------------------------
 
 class ExactGprBackend final : public PosteriorBackend {
  public:
-  ExactGprBackend(const BackendOptions& options, std::unique_ptr<Kernel> kernel,
-                  const GprOptions& fit_options)
-      : gpr_(std::move(kernel), fit_options),
-        incremental_refit_(options.incremental_refit),
-        incremental_cross_(options.incremental_cross),
-        batched_predict_(options.batched_predict),
-        panel_predict_(options.panel_predict) {}
+  ExactGprBackend(std::unique_ptr<Kernel> kernel, const GprOptions& fit_options)
+      : gpr_(std::move(kernel), fit_options) {}
 
   std::string_view name() const noexcept override { return "exact"; }
   BackendKind kind() const noexcept override { return BackendKind::kExact; }
@@ -76,7 +75,6 @@ class ExactGprBackend final : public PosteriorBackend {
            const DistanceBase* base, std::span<const std::size_t> rows) override {
     base_ = base;
     x_learned_ = x;
-    y_learned_.assign(y.begin(), y.end());
     rows_.assign(rows.begin(), rows.end());
     gpr_.fit(x, y, rng, base, rows);
     k_star_valid_ = false;
@@ -87,22 +85,13 @@ class ExactGprBackend final : public PosteriorBackend {
   void add_point(std::span<const double> x, double y, std::size_t row,
                  stats::Rng& rng, const CandidateRef* after) override {
     x_learned_.push_row(x);
-    y_learned_.push_back(y);
     if (base_ != nullptr) rows_.push_back(row);
-    if (incremental_refit_) {
-      // Same optimization, same rng stream, bit-identical posterior — but
-      // the common converged-warm-start case avoids the O(n^2) gram
-      // rebuild and O(n^3) refactor.
-      const bool kept = gpr_.fit_add_point(x, y, rng);
-      if (k_star_valid_ && !kept) core::trace::count("sim.kstar_invalidate");
-      k_star_valid_ = k_star_valid_ && kept;
-    } else {
-      // y_learned_ is maintained in learned order (holding exactly the
-      // labels the simulator revealed, penalized ones included), so the
-      // full refit sees the same bits the seed recipe did.
-      gpr_.fit(x_learned_, y_learned_, rng, base_, rows_);
-      k_star_valid_ = false;
-    }
+    // Same optimization, same rng stream, bit-identical posterior to a full
+    // refit — but the common converged-warm-start case avoids the O(n^2)
+    // gram rebuild and O(n^3) refactor.
+    const bool kept = gpr_.fit_add_point(x, y, rng);
+    if (k_star_valid_ && !kept) core::trace::count("sim.kstar_invalidate");
+    k_star_valid_ = k_star_valid_ && kept;
     // A surviving cross matrix gains the acquired point's row: a 1 x m
     // kernel evaluation against the remaining candidates.
     if (k_star_valid_ && after != nullptr) {
@@ -141,86 +130,62 @@ class ExactGprBackend final : public PosteriorBackend {
                                     linalg::Workspace& ws,
                                     bool with_mean = true) override {
     const std::size_t m = pool.x.rows();
-    if (incremental_cross_) {
-      if (!k_star_valid_) {
-        core::trace::count("sim.kstar_rebuild");
-        PairwiseDistances dist =
-            base_ != nullptr
-                ? PairwiseDistances::cross_from_base(*base_, rows_, pool.rows)
-                : PairwiseDistances::cross(x_learned_, pool.x);
-        gpr_.kernel().prepare_distances(dist);
-        k_star_ = gpr_.kernel().cross_cached(dist);
-        k_star_.reserve(n_train_max_, k_star_.cols());
-        if (batched_predict_) diag_ = gpr_.kernel().diagonal(pool.x);
-        if (batched_predict_ && panel_predict_) {
-          // A wholesale cross rebuild breaks the panel's column alignment;
-          // the next panel sweep rebuilds it (panel.rebuilds). Reserve so
-          // steady-state row appends / column drops stay allocation-free.
-          gpr_.panel_invalidate();
-          gpr_.panel_reserve(std::max(n_train_max_, gpr_.training_size()),
-                             k_star_.cols());
-          // Fresh cross matrix: every storage column is live again.
-          live_.resize(m);
-          for (std::size_t q = 0; q < m; ++q) live_[q] = q;
-          dead_ = 0;
-        }
-        k_star_valid_ = true;
-      } else {
-        core::trace::count("sim.kstar_reuse");
-      }
-      if (batched_predict_) {
-        // Fused batched posterior over the live cross matrix: outputs live
-        // in the caller's pass arena, so the steady-state pass is
-        // allocation-free (verified by tests_alloc). Only the panel path
-        // honors the mean-skip hint (candidate_mean() recovers single
-        // entries from the live cross matrix afterwards).
-        const bool skip_mean = !with_mean && panel_predict_;
-        if (skip_mean) core::trace::count("sim.mean_skip");
-        const std::span<double> mu =
-            skip_mean ? std::span<double>{} : ws.alloc(m);
-        const std::span<double> sd = ws.alloc(m);
-        if (panel_predict_) {
-          if (dead_ == 0) {
-            gpr_.predict_batch_panel(k_star_, diag_, ws, mu, sd, !skip_mean);
-          } else {
-            // Tombstoned sweep: run the panel over the full physical
-            // column set (dead columns included — their values are finite
-            // and discarded) and gather the live entries into pool order.
-            // Each column's arithmetic is column-local, so live outputs
-            // are bit-for-bit those of the compacted layout.
-            const std::size_t phys = k_star_.cols();
-            const std::span<double> mu_phys =
-                skip_mean ? std::span<double>{} : ws.alloc(phys);
-            const std::span<double> sd_phys = ws.alloc(phys);
-            gpr_.predict_batch_panel(k_star_, diag_, ws, mu_phys, sd_phys,
-                                     !skip_mean);
-            for (std::size_t q = 0; q < m; ++q) {
-              if (!skip_mean) mu[q] = mu_phys[live_[q]];
-              sd[q] = sd_phys[live_[q]];
-            }
-          }
-        } else {
-          gpr_.predict_batch(k_star_, diag_, ws, mu, sd);
-        }
-        return {mu, sd};
-      }
-      pred_ = gpr_.predict_from_cross(k_star_, pool.x);
-      return {pred_.mean, pred_.stddev};
+    if (!k_star_valid_) {
+      core::trace::count("sim.kstar_rebuild");
+      PairwiseDistances dist =
+          base_ != nullptr
+              ? PairwiseDistances::cross_from_base(*base_, rows_, pool.rows)
+              : PairwiseDistances::cross(x_learned_, pool.x);
+      gpr_.kernel().prepare_distances(dist);
+      k_star_ = gpr_.kernel().cross_cached(dist);
+      k_star_.reserve(n_train_max_, k_star_.cols());
+      diag_ = gpr_.kernel().diagonal(pool.x);
+      // A wholesale cross rebuild breaks the panel's column alignment; the
+      // next sweep rebuilds it (panel.rebuilds). Reserve so steady-state
+      // row appends stay allocation-free.
+      gpr_.panel_invalidate();
+      gpr_.panel_reserve(std::max(n_train_max_, gpr_.training_size()),
+                         k_star_.cols());
+      // Fresh cross matrix: every storage column is live again.
+      live_.resize(m);
+      for (std::size_t q = 0; q < m; ++q) live_[q] = q;
+      dead_ = 0;
+      k_star_valid_ = true;
+    } else {
+      core::trace::count("sim.kstar_reuse");
     }
-    if (batched_predict_) {
-      // No cross-matrix cache to batch over: build it fresh each pass but
-      // still run the fused posterior (bit-identical outputs).
-      pred_ = gpr_.predict_batch(pool.x, ws);
-      return {pred_.mean, pred_.stddev};
+    // Fused panel sweep over the live cross matrix: outputs live in the
+    // caller's pass arena, so the steady-state pass is allocation-free
+    // (verified by tests_alloc). A mean-skipped sweep leaves mu empty;
+    // candidate_mean() recovers single entries from the live cross matrix.
+    if (!with_mean) core::trace::count("sim.mean_skip");
+    const std::span<double> mu = with_mean ? ws.alloc(m) : std::span<double>{};
+    const std::span<double> sd = ws.alloc(m);
+    if (dead_ == 0) {
+      gpr_.predict_batch_panel(k_star_, diag_, mu, sd, with_mean);
+      return {mu, sd};
     }
-    pred_ = gpr_.predict(pool.x);
-    return {pred_.mean, pred_.stddev};
+    // Tombstoned sweep: run the panel over the full physical column set
+    // (dead columns included — their values are finite and discarded) and
+    // gather the live entries into pool order. Each column's arithmetic is
+    // column-local, so live outputs are bit-for-bit those of the compacted
+    // layout.
+    const std::size_t phys = k_star_.cols();
+    const std::span<double> mu_phys =
+        with_mean ? ws.alloc(phys) : std::span<double>{};
+    const std::span<double> sd_phys = ws.alloc(phys);
+    gpr_.predict_batch_panel(k_star_, diag_, mu_phys, sd_phys, with_mean);
+    for (std::size_t q = 0; q < m; ++q) {
+      if (with_mean) mu[q] = mu_phys[live_[q]];
+      sd[q] = sd_phys[live_[q]];
+    }
+    return {mu, sd};
   }
 
   double candidate_mean(std::size_t local) const override {
-    // Only meaningful after a mean-skipped panel sweep, so the live cross
-    // matrix and pool map are current. Bit-identical to the entry the
-    // skipped full pass would have produced (mean_from_cross_column).
+    // Only meaningful after a mean-skipped sweep, so the live cross matrix
+    // and pool map are current. Bit-identical to the entry the skipped
+    // full pass would have produced (mean_from_cross_column).
     if (!k_star_valid_ || local >= live_.size()) {
       throw std::logic_error(
           "ExactGprBackend::candidate_mean: no live mean-skipped sweep");
@@ -230,24 +195,13 @@ class ExactGprBackend final : public PosteriorBackend {
 
   void remove_candidate(std::size_t local) override {
     if (!k_star_valid_) return;
-    if (batched_predict_ && panel_predict_) {
-      // Tombstone instead of compacting: eager column removal moves
-      // O(n m) doubles across the cross matrix AND the panel on every
-      // acquisition. The column stays in storage (at most a retrain
-      // stride of dead columns accumulates before the next swap-triggered
-      // rebuild compacts everything); only the pool->storage map shrinks.
-      core::trace::count("sim.kstar_tombstone");
-      live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(local));
-      ++dead_;
-      return;
-    }
-    // Drop the acquired candidate's column from the live cross matrix (and
-    // its cached prior-diagonal entry); remaining entries keep their bits —
-    // remove_column is pure data movement.
-    k_star_.remove_column(local);
-    if (batched_predict_) {
-      diag_.erase(diag_.begin() + static_cast<std::ptrdiff_t>(local));
-    }
+    // Tombstone instead of compacting: column removal would move O(n m)
+    // doubles across the cross matrix AND the panel on every acquisition.
+    // The column stays in storage until the next cross rebuild compacts
+    // everything; only the pool->storage map shrinks.
+    core::trace::count("sim.kstar_tombstone");
+    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(local));
+    ++dead_;
   }
 
   std::vector<double> predict_mean(
@@ -285,24 +239,21 @@ class ExactGprBackend final : public PosteriorBackend {
     n_train_max_ = gpr_.training_size() + extra;
     gpr_.reserve_additional(extra);
     x_learned_.reserve(n_train_max_, x_learned_.cols());
-    y_learned_.reserve(n_train_max_);
     if (base_ != nullptr) rows_.reserve(n_train_max_);
   }
 
   WorkspaceBound workspace_bound(std::size_t n0, std::size_t m0,
                                  std::size_t budget) const override {
-    if (!batched_predict_) return {};
-    // Two output vectors for the pass plus the n x m variance scratch,
-    // maximized over the pass index (the training side grows while the
-    // candidate side shrinks). Summed across the two per-response backends
-    // this reproduces the historical 4*m0 + z_peak arena bound exactly.
-    // Panel mode adds the physical-width gather staging for tombstoned
-    // sweeps (two vectors over at most the initial m0 columns).
-    std::size_t z_peak = 0;
+    // Two output vectors for the pass, plus scratch for the physical-width
+    // gather staging of tombstoned sweeps (two vectors over at most the
+    // initial m0 columns) — maximized against the n x m variance scratch of
+    // the historical per-pass sweep, which keeps the arena sized (and its
+    // counters) exactly as before even though the panel now keeps Z in
+    // member storage.
+    std::size_t z_peak = 2 * m0;
     for (std::size_t p = 0; p <= budget && p <= m0; ++p) {
       z_peak = std::max(z_peak, (n0 + p) * (m0 - p));
     }
-    if (panel_predict_) z_peak = std::max(z_peak, 2 * m0);
     return {.outputs = 2 * m0, .scratch = z_peak};
   }
 
@@ -314,27 +265,21 @@ class ExactGprBackend final : public PosteriorBackend {
   ExactGprBackend(const ExactGprBackend&) = default;
 
   GaussianProcessRegressor gpr_;
-  const bool incremental_refit_;
-  const bool incremental_cross_;
-  const bool batched_predict_;
-  const bool panel_predict_;
 
   const DistanceBase* base_ = nullptr;
   Matrix x_learned_;
-  std::vector<double> y_learned_;
   std::vector<std::size_t> rows_;
   std::size_t n_train_max_ = 0;
 
   // Incremental cross-covariance K(X_learned, X_active) plus the cached
-  // prior diagonal for the fused batched posterior; both share the
-  // validity lifecycle the simulator historically managed.
+  // prior diagonal of the pool; both share one validity lifecycle.
   Matrix k_star_;
   std::vector<double> diag_;
   bool k_star_valid_ = false;
 
-  // Panel mode keeps acquired candidates' columns in storage (tombstones)
-  // instead of compacting: live_ maps pool index -> storage column, dead_
-  // counts tombstoned columns. Reset to identity/zero on cross rebuilds.
+  // Acquired candidates' columns stay in storage (tombstones) instead of
+  // being compacted: live_ maps pool index -> storage column, dead_ counts
+  // tombstoned columns. Reset to identity/zero on cross rebuilds.
   std::vector<std::size_t> live_;
   std::size_t dead_ = 0;
   std::vector<double> row_scratch_;
@@ -344,8 +289,6 @@ class ExactGprBackend final : public PosteriorBackend {
   std::optional<PairwiseDistances> test_dist_;
   std::size_t test_dist_rows_ = 0;
   std::vector<std::size_t> query_rows_;
-
-  Prediction pred_;  // storage for the non-arena prediction paths
 };
 
 // ---------------------------------------------------------------------------
@@ -366,9 +309,6 @@ class SubsetOfDataBackend final : public PosteriorBackend {
                       std::unique_ptr<Kernel> kernel,
                       const GprOptions& fit_options)
       : gpr_(std::move(kernel), fit_options),
-        incremental_refit_(options.incremental_refit),
-        batched_predict_(options.batched_predict),
-        panel_predict_(options.panel_predict),
         cap_(std::max<std::size_t>(options.inducing_points, 2)) {
     const std::size_t requested =
         options.sod_anchors != 0 ? options.sod_anchors : cap_ / 2;
@@ -415,27 +355,22 @@ class SubsetOfDataBackend final : public PosteriorBackend {
       // the acquired point's 1 x m kernel row, same recipe — and
       // therefore same bits — as the exact backend's append.
       core::trace::count("backend.sod_append");
-      if (incremental_refit_) {
-        const bool kept = gpr_.fit_add_point(x, y, rng);
-        k_star_valid_ = k_star_valid_ && kept && after != nullptr;
-        if (k_star_valid_) {
-          const std::size_t appended_row[1] = {row};
-          PairwiseDistances dist = [&] {
-            if (base_ != nullptr) {
-              return PairwiseDistances::cross_from_base(*base_, appended_row,
-                                                        after->rows);
-            }
-            Matrix x_new(1, x_seq_.cols());
-            std::copy(x.begin(), x.end(), x_new.row(0).begin());
-            return PairwiseDistances::cross(x_new, after->x);
-          }();
-          gpr_.kernel().prepare_distances(dist);
-          const Matrix new_row = gpr_.kernel().cross_cached(dist);
-          k_star_.push_row(new_row.row(0));
-        }
-      } else {
-        k_star_valid_ = false;
-        refit_subset(rng);
+      const bool kept = gpr_.fit_add_point(x, y, rng);
+      k_star_valid_ = k_star_valid_ && kept && after != nullptr;
+      if (k_star_valid_) {
+        const std::size_t appended_row[1] = {row};
+        PairwiseDistances dist = [&] {
+          if (base_ != nullptr) {
+            return PairwiseDistances::cross_from_base(*base_, appended_row,
+                                                      after->rows);
+          }
+          Matrix x_new(1, x_seq_.cols());
+          std::copy(x.begin(), x.end(), x_new.row(0).begin());
+          return PairwiseDistances::cross(x_new, after->x);
+        }();
+        gpr_.kernel().prepare_distances(dist);
+        const Matrix new_row = gpr_.kernel().cross_cached(dist);
+        k_star_.push_row(new_row.row(0));
       }
     } else {
       // The window slid: the oldest tail point left the subset, so the
@@ -451,43 +386,38 @@ class SubsetOfDataBackend final : public PosteriorBackend {
                                     linalg::Workspace& ws,
                                     bool /*with_mean*/ = true) override {
     core::trace::count("backend.sod_predict");
-    if (batched_predict_ && panel_predict_) {
-      // Panel sweep over a cross matrix cached for the current window
-      // epoch. The rebuilt cross is the distance-cache evaluation of
-      // K(subset, pool) — bitwise what kernel().cross() produces — so the
-      // sweep stays bit-identical to the panel-off arm.
-      const std::size_t m = pool.x.rows();
-      if (!k_star_valid_) {
-        const std::vector<std::size_t> idx = subset_indices();
-        PairwiseDistances dist = [&] {
-          if (base_ != nullptr) {
-            std::vector<std::size_t> srows;
-            srows.reserve(idx.size());
-            for (const std::size_t i : idx) srows.push_back(rows_seq_[i]);
-            return PairwiseDistances::cross_from_base(*base_, srows, pool.rows);
-          }
-          Matrix sx(idx.size(), x_seq_.cols());
-          for (std::size_t r = 0; r < idx.size(); ++r) {
-            const auto src = x_seq_.row(idx[r]);
-            std::copy(src.begin(), src.end(), sx.row(r).begin());
-          }
-          return PairwiseDistances::cross(sx, pool.x);
-        }();
-        gpr_.kernel().prepare_distances(dist);
-        k_star_ = gpr_.kernel().cross_cached(dist);
-        diag_ = gpr_.kernel().diagonal(pool.x);
-        gpr_.panel_invalidate();
-        gpr_.panel_reserve(cap_, k_star_.cols());
-        k_star_valid_ = true;
-      }
-      const std::span<double> mu = ws.alloc(m);
-      const std::span<double> sd = ws.alloc(m);
-      gpr_.predict_batch_panel(k_star_, diag_, ws, mu, sd);
-      return {mu, sd};
+    // Panel sweep over a cross matrix cached for the current window epoch.
+    // The rebuilt cross is the distance-cache evaluation of K(subset, pool)
+    // — bitwise what kernel().cross() produces — so the sweep stays
+    // bit-identical to predict() on the subset model.
+    const std::size_t m = pool.x.rows();
+    if (!k_star_valid_) {
+      const std::vector<std::size_t> idx = subset_indices();
+      PairwiseDistances dist = [&] {
+        if (base_ != nullptr) {
+          std::vector<std::size_t> srows;
+          srows.reserve(idx.size());
+          for (const std::size_t i : idx) srows.push_back(rows_seq_[i]);
+          return PairwiseDistances::cross_from_base(*base_, srows, pool.rows);
+        }
+        Matrix sx(idx.size(), x_seq_.cols());
+        for (std::size_t r = 0; r < idx.size(); ++r) {
+          const auto src = x_seq_.row(idx[r]);
+          std::copy(src.begin(), src.end(), sx.row(r).begin());
+        }
+        return PairwiseDistances::cross(sx, pool.x);
+      }();
+      gpr_.kernel().prepare_distances(dist);
+      k_star_ = gpr_.kernel().cross_cached(dist);
+      diag_ = gpr_.kernel().diagonal(pool.x);
+      gpr_.panel_invalidate();
+      gpr_.panel_reserve(cap_, k_star_.cols());
+      k_star_valid_ = true;
     }
-    pred_ = batched_predict_ ? gpr_.predict_batch(pool.x, ws)
-                             : gpr_.predict(pool.x);
-    return {pred_.mean, pred_.stddev};
+    const std::span<double> mu = ws.alloc(m);
+    const std::span<double> sd = ws.alloc(m);
+    gpr_.predict_batch_panel(k_star_, diag_, mu, sd);
+    return {mu, sd};
   }
 
   void remove_candidate(std::size_t local) override {
@@ -527,17 +457,15 @@ class SubsetOfDataBackend final : public PosteriorBackend {
 
   WorkspaceBound workspace_bound(std::size_t n0, std::size_t m0,
                                  std::size_t budget) const override {
-    if (!batched_predict_) return {};
-    // The fused sweep's scratch is min(n, cap) x m; outputs are heap-owned
-    // Prediction vectors — except on the panel path, whose mean/stddev
-    // spans are carved from the pass arena (the Z panel itself lives in
-    // member storage). The z_peak term stays as a conservative bound for
-    // the panel-off sweep.
+    // The mean/stddev spans are carved from the pass arena; the Z panel
+    // itself lives in member storage. The min(n, cap) x m term is the
+    // historical per-pass sweep scratch, kept so the arena is sized exactly
+    // as before.
     std::size_t z_peak = 0;
     for (std::size_t p = 0; p <= budget && p <= m0; ++p) {
       z_peak = std::max(z_peak, std::min(n0 + p, cap_) * (m0 - p));
     }
-    return {.outputs = panel_predict_ ? 2 * m0 : 0, .scratch = z_peak};
+    return {.outputs = 2 * m0, .scratch = z_peak};
   }
 
   std::unique_ptr<PosteriorBackend> clone() const override {
@@ -585,9 +513,6 @@ class SubsetOfDataBackend final : public PosteriorBackend {
   }
 
   GaussianProcessRegressor gpr_;
-  const bool incremental_refit_;
-  const bool batched_predict_;
-  const bool panel_predict_;
   const std::size_t cap_;
   std::size_t anchors_;
 
@@ -599,13 +524,11 @@ class SubsetOfDataBackend final : public PosteriorBackend {
   std::vector<std::size_t> rows_seq_;
 
   // Window-epoch cross matrix K(subset, X_active) + prior diagonal for the
-  // panel path: live while the subset only grows (appends extend it by one
-  // row); any slide or full refit ends the epoch.
+  // panel sweeps: live while the subset only grows (appends extend it by
+  // one row); any slide or full refit ends the epoch.
   Matrix k_star_;
   std::vector<double> diag_;
   bool k_star_valid_ = false;
-
-  Prediction pred_;
 };
 
 // ---------------------------------------------------------------------------
@@ -968,8 +891,7 @@ std::unique_ptr<PosteriorBackend> make_backend(const BackendOptions& options,
                                                const GprOptions& fit_options) {
   switch (options.kind) {
     case BackendKind::kExact:
-      return std::make_unique<ExactGprBackend>(options, std::move(kernel),
-                                               fit_options);
+      return std::make_unique<ExactGprBackend>(std::move(kernel), fit_options);
     case BackendKind::kSubsetOfData:
       return std::make_unique<SubsetOfDataBackend>(options, std::move(kernel),
                                                    fit_options);

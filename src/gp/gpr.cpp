@@ -80,21 +80,14 @@ double GaussianProcessRegressor::log_marginal_likelihood(
 
   const std::size_t n = x_train_.rows();
   std::vector<Matrix> gradients;
-  Matrix k;
-  if (train_dist_ && train_dist_->rows() == n) {
-    // Hot path for every optimizer probe: elementwise transform of the
-    // cached squared distances; no feature passes. Bit-identical to the
-    // direct evaluation below. Thread-safe: the cache is read-only here
-    // (fit() prepared it before optimization), so concurrent multistart
-    // workers share it freely.
-    core::trace::count("gpr.dist_cache_hit");
-    k = grad.empty() ? probe->gram_cached(*train_dist_)
-                     : probe->gram_with_gradients_cached(*train_dist_, gradients);
-  } else {
-    core::trace::count("gpr.dist_cache_miss");
-    k = grad.empty() ? probe->gram(x_train_)
-                     : probe->gram_with_gradients(x_train_, gradients);
-  }
+  // Every optimizer probe is an elementwise transform of the cached squared
+  // distances; no feature passes. Thread-safe: the cache is read-only here
+  // (fit() prepared it before optimization), so concurrent multistart
+  // workers share it freely.
+  core::trace::count("gpr.dist_cache_hit");
+  const Matrix k =
+      grad.empty() ? probe->gram_cached(*train_dist_)
+                   : probe->gram_with_gradients_cached(*train_dist_, gradients);
 
   const auto [factor, jitter] =
       linalg::cholesky_with_jitter(k, options_.initial_jitter, options_.max_jitter);
@@ -149,17 +142,15 @@ double GaussianProcessRegressor::compute_posterior_unchecked() {
   // A rebuilt factor shares no rows with the old one, so any cached
   // candidate panel is stale (DESIGN.md §13 invalidation rule 1).
   panel_valid_ = false;
-  gram_ = train_dist_ && train_dist_->rows() == x_train_.rows()
-              ? kernel_->gram_cached(*train_dist_)
-              : kernel_->gram(x_train_);
+  gram_ = kernel_->gram_cached(*train_dist_);
   auto [factor, jitter] = linalg::cholesky_with_jitter(
       gram_, options_.initial_jitter, options_.max_jitter);
   factor_ = std::move(factor);
   jitter_ = jitter;
   // alpha refresh in place (no solve-result temporaries); assign() reuses
   // alpha_'s capacity. This is the ONLY place besides the incremental
-  // update that recomputes alpha — predict/predict_batch always read the
-  // cache, which the gpr.alpha_solve counter lets tests pin down.
+  // update that recomputes alpha — predict/predict_batch_panel always read
+  // the cache, which the gpr.alpha_solve counter lets tests pin down.
   core::trace::count("gpr.alpha_solve");
   alpha_.assign(y_train_.begin(), y_train_.end());
   factor_->solve_in_place(alpha_);
@@ -308,14 +299,9 @@ void GaussianProcessRegressor::fit(const Matrix& x, std::span<const double> y,
   // multistart workers, so it must be complete and read-only by then.
   // With a shared base the cache is gathered (O(n^2) copies) rather than
   // recomputed (O(n^2 d) FLOPs); the bits are identical either way.
-  if (options_.use_distance_cache) {
-    train_dist_ = base != nullptr
-                      ? PairwiseDistances::train_from_base(*base, rows)
-                      : PairwiseDistances::train(x_train_);
-    kernel_->prepare_distances(*train_dist_);
-  } else {
-    train_dist_.reset();
-  }
+  train_dist_ = base != nullptr ? PairwiseDistances::train_from_base(*base, rows)
+                                : PairwiseDistances::train(x_train_);
+  kernel_->prepare_distances(*train_dist_);
   y_raw_.assign(y.begin(), y.end());
   recenter_targets();
 
@@ -332,7 +318,7 @@ void GaussianProcessRegressor::append_training_point(std::span<const double> x,
     throw std::invalid_argument("GPR::add_point: dimension mismatch");
   }
   x_train_.push_row(x);  // in place; allocation-free within reserve
-  if (train_dist_) train_dist_->append_x_row(x);
+  train_dist_->append_x_row(x);
 
   y_raw_.push_back(y);
   // fit() centers by summing all targets in order; repeat that exactly so
@@ -428,16 +414,7 @@ Prediction GaussianProcessRegressor::predict(const Matrix& x) const {
   if (x.cols() != x_train_.cols()) {
     throw std::invalid_argument("GPR::predict: dimension mismatch");
   }
-  return predict_from_cross(kernel_->cross(x_train_, x), x);
-}
-
-Prediction GaussianProcessRegressor::predict_from_cross(const Matrix& k_star,
-                                                        const Matrix& x) const {
-  if (!fitted()) throw std::logic_error("GPR::predict before fit");
-  if (k_star.rows() != x_train_.rows() || k_star.cols() != x.rows()) {
-    throw std::invalid_argument("GPR::predict_from_cross: shape mismatch");
-  }
-
+  const Matrix k_star = kernel_->cross(x_train_, x);
   const std::size_t n = x_train_.rows();
   Prediction out;
   out.mean = linalg::matvec_transposed(k_star, alpha_);
@@ -448,7 +425,7 @@ Prediction GaussianProcessRegressor::predict_from_cross(const Matrix& k_star,
   // sigma^2 = k** - k*^T K_y^{-1} k* via Z = L^{-1} K*; sigma^2_q = k** -
   // |z_q|^2. One heap scratch for Z; the shared sweep zero-inits the
   // accumulators in the stddev slots, so per scalar this performs exactly
-  // the per-chunk solve + square + finalize chain it always has.
+  // the per-chunk solve + square + finalize chain the panel sweep runs.
   std::vector<double> z(n * x.rows());
   variance_sweep(k_star, prior_diag, z.data(), 0, out.stddev.data(),
                  out.stddev);
@@ -486,17 +463,16 @@ void GaussianProcessRegressor::variance_sweep(
   });
 }
 
-void GaussianProcessRegressor::predict_batch(const Matrix& k_star,
-                                             std::span<const double> prior_diag,
-                                             linalg::Workspace& ws,
-                                             std::span<double> mean_out,
-                                             std::span<double> stddev_out) const {
-  if (!fitted()) throw std::logic_error("GPR::predict_batch before fit");
+void GaussianProcessRegressor::predict_batch_panel(
+    const Matrix& k_star, std::span<const double> prior_diag,
+    std::span<double> mean_out, std::span<double> stddev_out,
+    bool with_mean) {
+  if (!fitted()) throw std::logic_error("GPR::predict_batch_panel before fit");
   const std::size_t n = x_train_.rows();
   const std::size_t m = k_star.cols();
-  if (k_star.rows() != n || prior_diag.size() != m || mean_out.size() != m ||
-      stddev_out.size() != m) {
-    throw std::invalid_argument("GPR::predict_batch: shape mismatch");
+  if (k_star.rows() != n || prior_diag.size() != m || stddev_out.size() != m ||
+      (with_mean && mean_out.size() != m)) {
+    throw std::invalid_argument("GPR::predict_batch_panel: shape mismatch");
   }
   if (m == 0) return;
   core::trace::count("predict.batch_calls");
@@ -504,45 +480,9 @@ void GaussianProcessRegressor::predict_batch(const Matrix& k_star,
 
   // Mean: zero-init + ascending-row axpy of the cached alpha — exactly
   // matvec_transposed(k_star, alpha_), written into the caller's span.
-  std::fill(mean_out.begin(), mean_out.end(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    linalg::axpy(alpha_[i], k_star.row(i), mean_out);
-  }
-  for (double& v : mean_out) v += y_mean_;
-
-  // Variance: one arena-owned n x m scratch for Z = L^{-1} K*. Allocated
-  // before the parallel region (the Workspace is single-threaded by
-  // contract); the shared sweep accumulates the column squares directly in
-  // the stddev slots (zero-initialized per chunk) before finalizing them —
-  // each scalar sees exactly the operations predict_from_cross() performs
-  // on it.
-  const linalg::Workspace::Scope scope(ws);
-  const std::span<double> z = ws.alloc(n * m);
-  variance_sweep(k_star, prior_diag, z.data(), 0, stddev_out.data(),
-                 stddev_out);
-}
-
-void GaussianProcessRegressor::predict_batch_panel(
-    const Matrix& k_star, std::span<const double> prior_diag,
-    linalg::Workspace& ws, std::span<double> mean_out,
-    std::span<double> stddev_out, bool with_mean) {
-  if (!fitted()) throw std::logic_error("GPR::predict_batch before fit");
-  const std::size_t n = x_train_.rows();
-  const std::size_t m = k_star.cols();
-  if (k_star.rows() != n || prior_diag.size() != m || stddev_out.size() != m ||
-      (with_mean && mean_out.size() != m)) {
-    throw std::invalid_argument("GPR::predict_batch: shape mismatch");
-  }
-  if (m == 0) return;
-  core::trace::count("predict.batch_calls");
-  core::trace::count("predict.batch_queries", m);
-  (void)ws;  // kept for signature parity with predict_batch(); the panel
-             // lives in member storage so it survives the sweep.
-
-  // Mean: alpha changes on every posterior update, so this stays a full
-  // O(n m) pass — identical to predict_batch()'s. Skipped entirely for
-  // uncertainty-only acquisition (mean_from_cross_column() recovers any
-  // single entry bit-identically).
+  // alpha changes on every posterior update, so this stays a full O(n m)
+  // pass. Skipped entirely for uncertainty-only acquisition
+  // (mean_from_cross_column() recovers any single entry bit-identically).
   if (with_mean) {
     std::fill(mean_out.begin(), mean_out.end(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -578,7 +518,7 @@ void GaussianProcessRegressor::predict_batch_panel(
 
 double GaussianProcessRegressor::mean_from_cross_column(const Matrix& k_star,
                                                         std::size_t col) const {
-  if (!fitted()) throw std::logic_error("GPR::predict_batch before fit");
+  if (!fitted()) throw std::logic_error("GPR::mean_from_cross_column before fit");
   const std::size_t n = x_train_.rows();
   if (k_star.rows() != n || col >= k_star.cols()) {
     throw std::invalid_argument("GPR::mean_from_cross_column: shape mismatch");
@@ -603,21 +543,6 @@ void GaussianProcessRegressor::panel_remove_column(std::size_t local) {
                    static_cast<std::ptrdiff_t>(local));
 }
 
-Prediction GaussianProcessRegressor::predict_batch(const Matrix& x,
-                                                   linalg::Workspace& ws) const {
-  if (!fitted()) throw std::logic_error("GPR::predict_batch before fit");
-  if (x.cols() != x_train_.cols()) {
-    throw std::invalid_argument("GPR::predict_batch: dimension mismatch");
-  }
-  const Matrix k_star = kernel_->cross(x_train_, x);
-  const std::vector<double> prior_diag = kernel_->diagonal(x);
-  Prediction out;
-  out.mean.resize(x.rows());
-  out.stddev.resize(x.rows());
-  predict_batch(k_star, prior_diag, ws, out.mean, out.stddev);
-  return out;
-}
-
 void GaussianProcessRegressor::reserve_additional(std::size_t extra) {
   if (!fitted()) throw std::logic_error("GPR::reserve_additional before fit");
   const std::size_t n_max = x_train_.rows() + extra;
@@ -627,7 +552,7 @@ void GaussianProcessRegressor::reserve_additional(std::size_t extra) {
   alpha_.reserve(n_max);
   gram_.reserve(n_max, n_max);
   factor_->reserve(n_max);
-  if (train_dist_) train_dist_->reserve(n_max);
+  train_dist_->reserve(n_max);
 }
 
 std::vector<double> GaussianProcessRegressor::predict_mean(const Matrix& x) const {

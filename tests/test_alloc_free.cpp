@@ -82,9 +82,11 @@ TEST(AllocFree, WarmArenaAllocIsHeapFree) {
   EXPECT_EQ(g_alloc_count.load(), before);
 }
 
-// The tentpole gate: a steady-state AL predict pass — batched posterior
+// The tentpole gate: a steady-state AL predict pass — fused panel sweeps
 // for both models over the maintained cross matrices, outputs in the
-// arena — touches the heap zero times.
+// arena — touches the heap zero times. Each pass discards the panels
+// first, so every sweep re-solves the full Z = L^{-1} K* into the panel
+// storage the warm-up pass sized.
 TEST(AllocFree, SteadyStatePredictCycleIsAllocationFree) {
   alamr::core::set_global_parallel_threads(1);
 
@@ -113,13 +115,13 @@ TEST(AllocFree, SteadyStatePredictCycleIsAllocationFree) {
   const std::vector<double> diag_mem = gpr_mem.kernel().diagonal(q);
 
   Workspace ws;
-  // Warm-up pass sizes the arena (one chunk allocation, amortized).
+  // Warm-up pass sizes the arena and the panels (amortized allocations).
   {
     const Workspace::Scope scope(ws);
     auto mu = ws.alloc(m);
     auto sd = ws.alloc(m);
-    gpr_cost.predict_batch(k_star_cost, diag_cost, ws, mu, sd);
-    gpr_mem.predict_batch(k_star_mem, diag_mem, ws, mu, sd);
+    gpr_cost.predict_batch_panel(k_star_cost, diag_cost, mu, sd);
+    gpr_mem.predict_batch_panel(k_star_mem, diag_mem, mu, sd);
   }
 
   const std::uint64_t before = g_alloc_count.load();
@@ -130,8 +132,10 @@ TEST(AllocFree, SteadyStatePredictCycleIsAllocationFree) {
     auto sd_c = ws.alloc(m);
     auto mu_m = ws.alloc(m);
     auto sd_m = ws.alloc(m);
-    gpr_cost.predict_batch(k_star_cost, diag_cost, ws, mu_c, sd_c);
-    gpr_mem.predict_batch(k_star_mem, diag_mem, ws, mu_m, sd_m);
+    gpr_cost.panel_invalidate();
+    gpr_mem.panel_invalidate();
+    gpr_cost.predict_batch_panel(k_star_cost, diag_cost, mu_c, sd_c);
+    gpr_mem.predict_batch_panel(k_star_mem, diag_mem, mu_m, sd_m);
     checksum += mu_c[pass % m] + sd_c[0] + mu_m[0] + sd_m[pass % m];
   }
   const std::uint64_t after = g_alloc_count.load();

@@ -1,9 +1,8 @@
-// Tests for the workspace-arena integration in the AL pass loop
-// (ISSUE 5): the batched posterior path must be byte-identical to the
-// per-candidate path, the arena's footprint must be flat after the
-// pre-warmed first pass (the check.sh zero-allocation gate reads the
-// arena.* counters this suite pins), and no exit path — censored
-// continue, kRetryNextCandidate, early stop — may leak arena scopes.
+// Tests for the workspace-arena integration in the AL pass loop: the
+// arena's footprint must be flat after the pre-warmed first pass (the
+// check.sh zero-allocation gate reads the arena.* counters this suite
+// pins), and no exit path — censored continue, kRetryNextCandidate, early
+// stop — may leak arena scopes.
 
 #include "alamr/core/simulator.hpp"
 
@@ -13,6 +12,7 @@
 
 #include "alamr/core/export.hpp"
 #include "alamr/core/faults.hpp"
+#include "alamr/core/parallel.hpp"
 #include "synthetic_dataset.hpp"
 
 namespace {
@@ -59,64 +59,28 @@ TEST(ArenaGate, SteadyStateFootprintIsFlat) {
       << "pre-warm should cover the whole trajectory in one chunk";
 }
 
-TEST(ArenaGate, BatchedOffDisablesArenaCounters) {
-  AlOptions options = arena_options();
-  options.trace = true;
-  options.batched_predict = false;
-  const AlSimulator sim(dataset(), options);
-  Rng rng(7);
-  const TrajectoryResult traj = sim.run(MaxSigma(), rng);
-  EXPECT_EQ(traj.trace.counter("predict.batch_calls"), 0u);
-  EXPECT_EQ(traj.trace.counter("arena.bytes_peak"), 0u);
-  EXPECT_EQ(traj.trace.counter("arena.chunk_allocs"), 0u);
-}
-
-// The load-bearing equivalence: batched_predict only changes WHERE the
-// posterior is computed (fused kernels + arena vs per-candidate heap
-// path), never the bits. Byte-compare the full trajectory CSV across the
-// flag, on both cross-matrix maintenance modes.
-TEST(ArenaGate, BatchedPredictIsByteIdenticalToScalarPath) {
-  for (const bool incremental_cross : {true, false}) {
-    AlOptions batched = arena_options();
-    batched.incremental_cross = incremental_cross;
-    batched.batched_predict = true;
-    AlOptions scalar = batched;
-    scalar.batched_predict = false;
-
-    Rng rng_a(11);
-    const TrajectoryResult t_batched =
-        AlSimulator(dataset(), batched).run(MaxSigma(), rng_a);
-    Rng rng_b(11);
-    const TrajectoryResult t_scalar =
-        AlSimulator(dataset(), scalar).run(MaxSigma(), rng_b);
-
-    EXPECT_EQ(trajectory_to_csv(t_batched), trajectory_to_csv(t_scalar))
-        << "incremental_cross=" << incremental_cross;
-  }
-}
-
 // kRetryNextCandidate exercises the pass loop's `continue` exit: the
-// censored pass must release its arena scope (the satellite regression)
-// and the retry trajectory must stay byte-identical across the flag.
+// censored pass must release its arena scope, and the retry trajectory
+// must stay byte-identical between the serial and the 4-lane pool.
 TEST(ArenaGate, RetryPolicyLeaksNoScopesAndStaysByteIdentical) {
-  AlOptions batched = arena_options(8);
-  batched.trace = true;
-  batched.failures.plan = faults::FaultPlan::parse("acquire.oom:hits=1|3");
-  batched.failures.policy = CensorPolicy::kRetryNextCandidate;
-  AlOptions scalar = batched;
-  scalar.batched_predict = false;
+  AlOptions options = arena_options(8);
+  options.trace = true;
+  options.failures.plan = faults::FaultPlan::parse("acquire.oom:hits=1|3");
+  options.failures.policy = CensorPolicy::kRetryNextCandidate;
+  const AlSimulator sim(dataset(), options);
 
+  set_global_parallel_threads(1);
   Rng rng_a(13);
-  const TrajectoryResult t_batched =
-      AlSimulator(dataset(), batched).run(RandGoodness(), rng_a);
+  const TrajectoryResult serial = sim.run(RandGoodness(), rng_a);
+  set_global_parallel_threads(4);
   Rng rng_b(13);
-  const TrajectoryResult t_scalar =
-      AlSimulator(dataset(), scalar).run(RandGoodness(), rng_b);
+  const TrajectoryResult pooled = sim.run(RandGoodness(), rng_b);
+  set_global_parallel_threads(0);  // restore the configured default
 
-  EXPECT_GT(t_batched.censored_count, 0u) << "fault plan did not fire";
-  EXPECT_EQ(t_batched.trace.counter("arena.scope_leaks"), 0u);
-  EXPECT_EQ(t_batched.trace.counter("arena.steady_growth"), 0u);
-  EXPECT_EQ(trajectory_to_csv(t_batched), trajectory_to_csv(t_scalar));
+  EXPECT_GT(serial.censored_count, 0u) << "fault plan did not fire";
+  EXPECT_EQ(serial.trace.counter("arena.scope_leaks"), 0u);
+  EXPECT_EQ(serial.trace.counter("arena.steady_growth"), 0u);
+  EXPECT_EQ(trajectory_to_csv(serial), trajectory_to_csv(pooled));
 }
 
 // Censored passes under kDropCensored take the same early `continue`;

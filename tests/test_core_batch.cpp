@@ -109,20 +109,26 @@ TEST(RunBatch, ZeroTrajectoriesThrows) {
 }
 
 TEST(RunBatch, SharedContextMatchesUnshared) {
+  // run_batch gathers every distance cache from one shared context; each
+  // trajectory must equal the same stream run alone with no context, which
+  // recomputes every cache from features.
   const AlSimulator sim(dataset(), fast_options());
-  BatchOptions shared;
-  shared.trajectories = 3;
-  shared.threads = 1;
-  shared.seed = 404;
-  shared.shared_context = true;
-  BatchOptions unshared = shared;
-  unshared.shared_context = false;
+  BatchOptions batch;
+  batch.trajectories = 3;
+  batch.threads = 1;
+  batch.seed = 404;
+  const auto a = run_batch(sim, RandGoodness(), batch);
+  ASSERT_EQ(a.size(), batch.trajectories);
 
-  const auto a = run_batch(sim, RandGoodness(), shared);
-  const auto b = run_batch(sim, RandGoodness(), unshared);
-  ASSERT_EQ(a.size(), b.size());
+  alamr::stats::Rng master(batch.seed);
   for (std::size_t t = 0; t < a.size(); ++t) {
-    expect_trajectories_identical(a[t], b[t]);
+    alamr::stats::Rng stream = master.split();
+    const auto partition = alamr::data::make_partition(
+        sim.dataset().size(), sim.options().n_test, sim.options().n_init,
+        stream);
+    const TrajectoryResult b =
+        sim.run_with_partition(RandGoodness(), partition, stream);
+    expect_trajectories_identical(a[t], b);
   }
 }
 
@@ -134,7 +140,6 @@ TEST(RunBatch, SharedContextDeterministicAcrossThreadCounts) {
   serial.trajectories = 4;
   serial.threads = 1;
   serial.seed = 505;
-  serial.shared_context = true;
   BatchOptions parallel = serial;
   parallel.threads = 4;
 

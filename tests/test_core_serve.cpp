@@ -138,9 +138,10 @@ void expect_same_posterior(const OnlineResult& a, const OnlineResult& b,
 }
 
 // At retrain_stride == 1 a session IS the OnlineAlDriver recipe: the
-// batched engine (coalesced sweeps, off-path retrains) and the serial
-// convenience path must both reproduce N independent driver runs bit for
-// bit. The same suite runs under ALAMR_THREADS=1 and =4 (ctest).
+// queued protocol (coalesced drains, off-path retrains) and the
+// synchronous convenience path with inline retrains must both reproduce N
+// independent driver runs bit for bit. The same suite runs under
+// ALAMR_THREADS=1 and =4 (ctest).
 TEST(ServeEngine, MatchesSerialDriversAtStride1) {
   const Matrix grid = unit_grid(5);
   const std::vector<std::uint64_t> seeds{11, 22, 33};
@@ -178,7 +179,7 @@ TEST(ServeEngine, MatchesSerialDriversAtStride1) {
   }
 
   {
-    SessionEngine engine({.retrain_workers = 0, .coalesce = false});
+    SessionEngine engine({.retrain_workers = 0});
     for (std::size_t i = 0; i < seeds.size(); ++i) {
       engine.open_session(i + 1, grid, *strategies[i],
                           session_options(seeds[i]));
@@ -190,10 +191,9 @@ TEST(ServeEngine, MatchesSerialDriversAtStride1) {
   }
 }
 
-// The two bench arms — batched (coalesce on, off-path retrains, queued
-// protocol) vs per-session-serial (coalesce off, inline retrains, sync
-// protocol) — must produce byte-identical per-session outputs at a
-// serving stride, differing only in the cost of producing them.
+// The queued protocol with off-path retrain workers and the synchronous
+// protocol with inline retrains must produce byte-identical per-session
+// outputs at a serving stride, differing only in where the work runs.
 TEST(ServeEngine, BatchedArmMatchesSerialArmAtStride) {
   const Matrix grid = unit_grid(5);
   const std::vector<std::uint64_t> seeds{5, 6, 7, 8};
@@ -201,7 +201,7 @@ TEST(ServeEngine, BatchedArmMatchesSerialArmAtStride) {
   constexpr std::size_t kStride = 3;
 
   SessionEngine batched({.shards = 4, .retrain_workers = 2});
-  SessionEngine serial({.retrain_workers = 0, .coalesce = false});
+  SessionEngine serial({.retrain_workers = 0});
   std::vector<SessionId> ids;
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     ids.push_back(i + 1);
@@ -401,21 +401,26 @@ TEST(ServeEngine, QueriesTraceCountersAndEpochs) {
 }
 
 // Sharing one immutable GridContext between tenants on a bit-identical
-// grid changes nothing observable.
+// grid changes nothing observable: two tenants of one engine (one shared
+// context) match the same tenants each alone in its own engine.
 TEST(ServeEngine, SharedGridContextIsByteInvisible) {
   const Matrix grid = unit_grid(5);
   const MaxSigma strategy;
-  std::vector<OnlineResult> results;
-  for (const bool share : {true, false}) {
-    SessionEngine engine({.retrain_workers = 1, .share_grid_context = share});
-    engine.open_session(1, grid, strategy, session_options(77));
-    engine.open_session(2, grid, strategy, session_options(78));
-    drive_batched(engine, {1, 2});
-    results.push_back(engine.finish_session(1));
-    results.push_back(engine.finish_session(2));
-  }
-  expect_same_records(results[0].records, results[2].records);
-  expect_same_records(results[1].records, results[3].records);
+  SessionEngine shared({.retrain_workers = 1});
+  shared.open_session(1, grid, strategy, session_options(77));
+  shared.open_session(2, grid, strategy, session_options(78));
+  drive_batched(shared, {1, 2});
+  const OnlineResult shared_1 = shared.finish_session(1);
+  const OnlineResult shared_2 = shared.finish_session(2);
+
+  SessionEngine alone_1({.retrain_workers = 1});
+  SessionEngine alone_2({.retrain_workers = 1});
+  alone_1.open_session(1, grid, strategy, session_options(77));
+  alone_2.open_session(2, grid, strategy, session_options(78));
+  drive_batched(alone_1, {1});
+  drive_batched(alone_2, {2});
+  expect_same_records(shared_1.records, alone_1.finish_session(1).records);
+  expect_same_records(shared_2.records, alone_2.finish_session(2).records);
 }
 
 // Concurrent shard traffic: several client threads drive disjoint tenant

@@ -545,32 +545,6 @@ void expect_identical_records(const TrajectoryResult& a,
   }
 }
 
-TEST(AlSimulator, IncrementalRefitMatchesFullRefit) {
-  // The default per-iteration refit (fit_add_point) must reproduce the
-  // full-gather-and-fit trajectory exactly, both with warm-started
-  // optimization budgets and in the pure-incremental (0-iteration) mode.
-  for (const std::size_t refit_iters : {std::size_t{0}, std::size_t{5}}) {
-    AlOptions options = fast_options(10, 12);
-    options.refit.max_opt_iterations = refit_iters;
-
-    options.incremental_refit = true;
-    const AlSimulator incremental(dataset(), options);
-    options.incremental_refit = false;
-    const AlSimulator full(dataset(), options);
-
-    Rng setup(41);
-    const auto partition = alamr::data::make_partition(
-        dataset().size(), options.n_test, options.n_init, setup);
-    Rng r1(17);
-    Rng r2(17);
-    const auto a = incremental.run_with_partition(Rgma(incremental.memory_limit_log10()),
-                                                  partition, r1);
-    const auto b = full.run_with_partition(Rgma(full.memory_limit_log10()),
-                                           partition, r2);
-    expect_identical_records(a, b);
-  }
-}
-
 TEST(AlSimulatorParallel, ThreadCountDoesNotChangeTrajectory) {
   // The pool parallelizes predict-variance solves and multistart restarts
   // inside the trajectory; records must be bit-identical for 1 vs 4 lanes.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,10 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "alamr/core/online.hpp"
 #include "alamr/core/parallel.hpp"
 #include "alamr/core/simulator.hpp"
 #include "alamr/core/strategies.hpp"
 #include "alamr/core/trace.hpp"
+#include "alamr/linalg/simd.hpp"
 #include "synthetic_dataset.hpp"
 
 namespace {
@@ -304,7 +307,7 @@ AlOptions trace_test_options(std::size_t iterations) {
   options.initial_fit.max_opt_iterations = 25;
   options.refit.restarts = 0;
   // Zero refit budget: the warm start is returned unchanged every
-  // iteration, so with incremental_refit every refit takes the fast path.
+  // iteration, so every refit takes the incremental fast path.
   options.refit.max_opt_iterations = 0;
   return options;
 }
@@ -314,8 +317,7 @@ TEST(TraceSimulator, FastPathCountsMatchIncrementalRefit) {
   const data::Dataset dataset = alamr::testing::synthetic_amr_dataset(120, 4242);
   constexpr std::size_t kIterations = 8;
 
-  AlOptions options = trace_test_options(kIterations);
-  options.incremental_refit = true;
+  const AlOptions options = trace_test_options(kIterations);
   const AlSimulator simulator(dataset, options);
   const RandGoodness strategy;
   stats::Rng rng(7);
@@ -331,31 +333,12 @@ TEST(TraceSimulator, FastPathCountsMatchIncrementalRefit) {
   EXPECT_EQ(result.trace.counter("cholesky.extend_rejected"), 0u);
 }
 
-TEST(TraceSimulator, FullRefitCountsWhenIncrementalDisabled) {
-  const EnabledGuard guard(true);
-  const data::Dataset dataset = alamr::testing::synthetic_amr_dataset(120, 4242);
-  constexpr std::size_t kIterations = 8;
-
-  AlOptions options = trace_test_options(kIterations);
-  options.incremental_refit = false;
-  const AlSimulator simulator(dataset, options);
-  const RandGoodness strategy;
-  stats::Rng rng(7);
-  const TrajectoryResult result = simulator.run(strategy, rng);
-  ASSERT_EQ(result.iterations.size(), kIterations);
-
-  EXPECT_EQ(result.trace.counter("gpr.fit_incremental"), 0u);
-  EXPECT_EQ(result.trace.counter("gpr.fit_full"), 2u + 2 * kIterations);
-}
-
 TEST(TraceSimulator, CrossCovarianceCountersMatchIncrementalPath) {
   const EnabledGuard guard(true);
   const data::Dataset dataset = alamr::testing::synthetic_amr_dataset(120, 4242);
   constexpr std::size_t kIterations = 8;
 
-  AlOptions options = trace_test_options(kIterations);
-  options.incremental_refit = true;
-  options.incremental_cross = true;
+  const AlOptions options = trace_test_options(kIterations);
   const AlSimulator simulator(dataset, options);
   const RandGoodness strategy;
   stats::Rng rng(7);
@@ -376,43 +359,33 @@ TEST(TraceSimulator, CrossCovarianceCountersMatchIncrementalPath) {
   EXPECT_EQ(result.trace.counter("gpr.dist_cache_miss"), 0u);
 }
 
-TEST(TraceSimulator, CrossCovarianceRebuildsWhenDisabled) {
-  const EnabledGuard guard(true);
-  const data::Dataset dataset = alamr::testing::synthetic_amr_dataset(120, 4242);
-  constexpr std::size_t kIterations = 8;
-
-  AlOptions options = trace_test_options(kIterations);
-  options.incremental_cross = false;
-  const AlSimulator simulator(dataset, options);
-  const RandGoodness strategy;
-  stats::Rng rng(7);
-  const TrajectoryResult result = simulator.run(strategy, rng);
-  ASSERT_EQ(result.iterations.size(), kIterations);
-
-  EXPECT_EQ(result.trace.counter("sim.kstar_rebuild"), 0u);
-  EXPECT_EQ(result.trace.counter("sim.kstar_reuse"), 0u);
-  EXPECT_EQ(result.trace.counter("sim.kstar_append"), 0u);
-}
-
 TEST(TraceSimulator, FullRefitInvalidatesCrossCovariance) {
   const EnabledGuard guard(true);
   const data::Dataset dataset = alamr::testing::synthetic_amr_dataset(120, 4242);
   constexpr std::size_t kIterations = 8;
 
   AlOptions options = trace_test_options(kIterations);
-  options.incremental_refit = false;  // fit() from scratch each iteration
-  options.incremental_cross = true;
+  // A warm-refit budget that moves theta: those refits rebuild the
+  // posterior in full, and the cross matrix built at the old theta must
+  // not survive them.
+  options.refit.max_opt_iterations = 4;
   const AlSimulator simulator(dataset, options);
   const RandGoodness strategy;
   stats::Rng rng(7);
   const TrajectoryResult result = simulator.run(strategy, rng);
   ASSERT_EQ(result.iterations.size(), kIterations);
 
-  // Every refit re-optimizes from scratch, so each predict phase rebuilds
-  // both matrices and nothing survives long enough to append to.
-  EXPECT_EQ(result.trace.counter("sim.kstar_rebuild"), 2 * kIterations);
-  EXPECT_EQ(result.trace.counter("sim.kstar_reuse"), 0u);
-  EXPECT_EQ(result.trace.counter("sim.kstar_append"), 0u);
+  // Beyond the two initial fits, every full fit is a theta-moving refit,
+  // and each one invalidated the live cross matrix instead of appending.
+  const std::uint64_t invalidated = result.trace.counter("sim.kstar_invalidate");
+  EXPECT_GT(invalidated, 0u);
+  EXPECT_EQ(invalidated, result.trace.counter("gpr.fit_full") - 2);
+  EXPECT_EQ(invalidated + result.trace.counter("sim.kstar_append"),
+            2 * kIterations);
+  // Every predict phase either rebuilt or reused each model's matrix.
+  EXPECT_EQ(result.trace.counter("sim.kstar_rebuild") +
+                result.trace.counter("sim.kstar_reuse"),
+            2 * kIterations);
 }
 
 TEST(TraceSimulator, PhaseTimersCoverTheLoop) {
@@ -514,6 +487,42 @@ TEST(TraceSimulator, AlOptionsTraceTurnsTracingOn) {
   stats::Rng rng(13);
   const TrajectoryResult result = simulator.run(strategy, rng);
   EXPECT_GT(result.trace.counter("sim.iterations"), 0u);
+}
+
+// --- Checkpoint compatibility keys -----------------------------------------
+//
+// Resume validates a checkpoint by these digests, so their bytes must not
+// drift when options are retired: the values below were computed before
+// AlOptions::{incremental_refit, incremental_cross, batched_predict} were
+// removed (the fingerprint now feeds their always-on values as constants),
+// and checkpoints written then must keep resuming.
+
+TEST(FingerprintPin, DefaultOptionsTrajectoryFingerprint) {
+  namespace simd = alamr::linalg::simd;
+  const simd::Level saved = simd::active_level();
+  ASSERT_TRUE(simd::set_level(simd::Level::kScalar));
+  const data::Dataset dataset = alamr::testing::synthetic_amr_dataset(260, 4242);
+  const AlSimulator simulator(dataset, AlOptions{});
+  stats::Rng partition_rng(11);
+  const data::Partition partition =
+      data::make_partition(dataset.size(), simulator.options().n_test,
+                           simulator.options().n_init, partition_rng);
+  stats::Rng rng(2024);
+  const TrajectoryResult result =
+      simulator.run_with_partition(MaxSigma(), partition, rng);
+  simd::set_level(saved);
+  EXPECT_EQ(result.trace.fingerprint, "cfb4bc3f18ad9e8e");
+}
+
+TEST(FingerprintPin, DefaultOptionsOnlineFingerprint) {
+  linalg::Matrix grid(6, 2);
+  for (std::size_t r = 0; r < grid.rows(); ++r) {
+    grid(r, 0) = 0.1 * static_cast<double>(r);
+    grid(r, 1) = 1.0 - 0.15 * static_cast<double>(r);
+  }
+  EXPECT_EQ(online_run_fingerprint(grid, MaxSigma().name(), OnlineAlOptions{},
+                                   ""),
+            "418b06e32ef60863");
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Golden-trajectory regression test: a fixed-seed 50-iteration RGMA run,
 // serialized with trajectory_to_csv, compared byte-for-byte against a
 // checked-in reference. This locks in the repo's determinism contract —
-// the trajectory must be bit-identical whatever the thread count and
-// whether the incremental-refit fast path or the full O(n^3) rebuild
-// produced each posterior.
+// the trajectory must be bit-identical whatever the thread count. The
+// golden file is the spec of the one posterior path (incremental refits,
+// kept cross matrix, candidate panel); the GPR/backend-level bitwise
+// references live in test_gp_panel.cpp and test_backend_reference.cpp.
 //
 // To regenerate after an INTENTIONAL numerics change:
 //   ALAMR_REGEN_GOLDEN=1 ./build/tests/tests_golden
@@ -51,19 +52,9 @@ AlOptions golden_options() {
   return options;
 }
 
-std::string golden_csv(std::size_t threads, bool incremental_refit,
-                       bool incremental_cross = true,
-                       bool use_distance_cache = true,
-                       bool batched_predict = true,
-                       bool panel_predict = true) {
+std::string golden_csv(std::size_t threads) {
   const data::Dataset dataset = alamr::testing::synthetic_amr_dataset(320, 2024);
-  AlOptions options = golden_options();
-  options.incremental_refit = incremental_refit;
-  options.incremental_cross = incremental_cross;
-  options.initial_fit.use_distance_cache = use_distance_cache;
-  options.refit.use_distance_cache = use_distance_cache;
-  options.batched_predict = batched_predict;
-  options.panel_predict = panel_predict;
+  const AlOptions options = golden_options();
   const AlSimulator simulator(dataset, options);
   const Rgma rgma(simulator.memory_limit_log10());
 
@@ -122,7 +113,7 @@ class ScopedSimdLevel {
 
 TEST(GoldenTrajectory, SingleThreadIncrementalMatchesGolden) {
   ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  const std::string csv = golden_csv(1, true);
+  const std::string csv = golden_csv(1);
   if (regenerating()) {
     std::ofstream out(kGoldenPath, std::ios::binary);
     ASSERT_TRUE(out.is_open()) << "cannot write " << kGoldenPath;
@@ -135,126 +126,7 @@ TEST(GoldenTrajectory, SingleThreadIncrementalMatchesGolden) {
 TEST(GoldenTrajectory, FourThreadsMatchesGolden) {
   ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
   if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(4, true), read_golden_file());
-}
-
-TEST(GoldenTrajectory, FullRefitMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(1, false), read_golden_file());
-}
-
-TEST(GoldenTrajectory, FourThreadsFullRefitMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(4, false), read_golden_file());
-}
-
-// The incremental cross-covariance path (AlOptions::incremental_cross)
-// erases/appends K(X_train, X_active) columns in place instead of
-// rebuilding the matrix each iteration. Both settings must reproduce the
-// same bytes — with and without the incremental-refit fast path, and
-// under a parallel predict phase.
-
-TEST(GoldenTrajectory, RebuiltCrossCovarianceMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(1, true, /*incremental_cross=*/false),
-            read_golden_file());
-}
-
-TEST(GoldenTrajectory, RebuiltCrossCovarianceFullRefitMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(1, false, /*incremental_cross=*/false),
-            read_golden_file());
-}
-
-TEST(GoldenTrajectory, FourThreadsRebuiltCrossCovarianceMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(4, true, /*incremental_cross=*/false),
-            read_golden_file());
-}
-
-// GprOptions::use_distance_cache = false bypasses the PairwiseDistances
-// cache entirely: every optimizer probe and posterior rebuild takes the
-// direct-gram path. The cached transforms are constructed to replay the
-// direct path's FP sequence, so the bytes must not move.
-
-TEST(GoldenTrajectory, NoDistanceCacheMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(1, true, /*incremental_cross=*/true,
-                       /*use_distance_cache=*/false),
-            read_golden_file());
-}
-
-TEST(GoldenTrajectory, NoCachesAtAllMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(1, false, /*incremental_cross=*/false,
-                       /*use_distance_cache=*/false),
-            read_golden_file());
-}
-
-// AlOptions::batched_predict = false disables the fused batched posterior
-// and the workspace arena, taking the historical per-candidate predict
-// path instead. The fused path is constructed to replay the scalar path's
-// FP sequence exactly (DESIGN.md §10), so the bytes must not move.
-
-TEST(GoldenTrajectory, ScalarPredictPathMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(1, true, /*incremental_cross=*/true,
-                       /*use_distance_cache=*/true,
-                       /*batched_predict=*/false),
-            read_golden_file());
-}
-
-TEST(GoldenTrajectory, FourThreadsScalarPredictPathMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(4, true, /*incremental_cross=*/true,
-                       /*use_distance_cache=*/true,
-                       /*batched_predict=*/false),
-            read_golden_file());
-}
-
-// AlOptions::panel_predict = false disables the cross-iteration candidate
-// panel (DESIGN.md §13), re-solving the full Z = L^{-1} K* block every
-// sweep. The panel's incremental rows replay exactly the FP sequence the
-// from-scratch solve performs on them, so the bytes must not move. (The
-// default-on arm is every other golden test above.)
-
-TEST(GoldenTrajectory, PanelOffPredictPathMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(1, true, /*incremental_cross=*/true,
-                       /*use_distance_cache=*/true,
-                       /*batched_predict=*/true,
-                       /*panel_predict=*/false),
-            read_golden_file());
-}
-
-TEST(GoldenTrajectory, FourThreadsPanelOffPredictPathMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(4, true, /*incremental_cross=*/true,
-                       /*use_distance_cache=*/true,
-                       /*batched_predict=*/true,
-                       /*panel_predict=*/false),
-            read_golden_file());
-}
-
-TEST(GoldenTrajectory, PanelOffFullRefitMatchesGolden) {
-  ALAMR_PIN_SCALAR_FOR_BYTE_GOLDEN();
-  if (regenerating()) GTEST_SKIP();
-  EXPECT_EQ(golden_csv(1, false, /*incremental_cross=*/true,
-                       /*use_distance_cache=*/true,
-                       /*batched_predict=*/true,
-                       /*panel_predict=*/false),
-            read_golden_file());
+  EXPECT_EQ(golden_csv(4), read_golden_file());
 }
 
 // --- Tolerance comparison (carries the goldens at the vector levels) ---
@@ -329,13 +201,13 @@ double trajectory_tolerance_for(simd::Level level) {
 
 TEST(GoldenTrajectoryTolerance, SingleThreadIncrementalWithinTolerance) {
   if (regenerating()) GTEST_SKIP();
-  expect_csv_near(golden_csv(1, true), read_golden_file(),
+  expect_csv_near(golden_csv(1), read_golden_file(),
                   trajectory_tolerance_for(simd::active_level()));
 }
 
-TEST(GoldenTrajectoryTolerance, FourThreadsFullRefitWithinTolerance) {
+TEST(GoldenTrajectoryTolerance, FourThreadsWithinTolerance) {
   if (regenerating()) GTEST_SKIP();
-  expect_csv_near(golden_csv(4, false), read_golden_file(),
+  expect_csv_near(golden_csv(4), read_golden_file(),
                   trajectory_tolerance_for(simd::active_level()));
 }
 
@@ -350,7 +222,7 @@ TEST(GoldenTrajectoryTolerance, EveryDispatchLevelWithinTolerance) {
     const simd::Level level = static_cast<simd::Level>(l);
     const ScopedSimdLevel pin(level);
     SCOPED_TRACE(std::string("level=") + simd::to_string(level));
-    expect_csv_near(golden_csv(1, true), golden,
+    expect_csv_near(golden_csv(1), golden,
                     trajectory_tolerance_for(level));
   }
 }

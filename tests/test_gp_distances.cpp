@@ -380,16 +380,24 @@ TEST(GprDistanceCache, PredictFromCrossMatchesPredict) {
   GaussianProcessRegressor gpr(paper_kernel(3), {.restarts = 0});
   gpr.fit(x, y, rng);
 
+  // A caller-maintained cross matrix built from the distance cache (what
+  // the AL backends sweep over) carries predict()'s bits.
   const Prediction direct = gpr.predict(q);
-  const Matrix k_star = gpr.kernel().cross(x, q);
-  const Prediction via_cross = gpr.predict_from_cross(k_star, q);
-  ASSERT_EQ(via_cross.mean.size(), direct.mean.size());
+  PairwiseDistances dist = PairwiseDistances::cross(x, q);
+  gpr.kernel().prepare_distances(dist);
+  const Matrix k_star = gpr.kernel().cross_cached(dist);
+  const std::vector<double> diag = gpr.kernel().diagonal(q);
+  std::vector<double> mean(q.rows());
+  std::vector<double> stddev(q.rows());
+  gpr.predict_batch_panel(k_star, diag, mean, stddev);
   for (std::size_t i = 0; i < direct.mean.size(); ++i) {
-    EXPECT_TRUE(same_bits(via_cross.mean[i], direct.mean[i])) << i;
-    EXPECT_TRUE(same_bits(via_cross.stddev[i], direct.stddev[i])) << i;
+    EXPECT_TRUE(same_bits(mean[i], direct.mean[i])) << i;
+    EXPECT_TRUE(same_bits(stddev[i], direct.stddev[i])) << i;
   }
+  EXPECT_TRUE(same_bits(gpr.predict_mean_from_cross(k_star)[0],
+                        gpr.predict_mean(q)[0]));
 
-  EXPECT_THROW(gpr.predict_from_cross(Matrix(3, 12), q),
+  EXPECT_THROW(gpr.predict_batch_panel(Matrix(3, 12), diag, mean, stddev),
                std::invalid_argument);
 }
 

@@ -1,11 +1,12 @@
 // Cross-iteration candidate-panel tests (DESIGN.md §13): the panel sweep
 // (GaussianProcessRegressor::predict_batch_panel) must stay BIT-identical
-// to the from-scratch predict_batch across every lifecycle event — row
-// appends after incremental refits, column drops after acquisitions, and
-// the full-rebuild invalidations (theta moves, jittered refactors, fault
+// to a from-scratch predict() across every lifecycle event — row appends
+// after incremental refits, column drops after acquisitions, and the
+// full-rebuild invalidations (theta moves, jittered refactors, fault
 // recovery, checkpoint resume). The trajectory-level tests run the whole
-// AL loop with the panel on and off and require byte-equal CSVs plus sane
-// panel.* trace counters.
+// AL loop through the panel under refit, fault and censoring scenarios and
+// require byte-equal CSVs at 1 and 4 threads plus sane panel.* trace
+// counters.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +20,11 @@
 #include "alamr/core/faults.hpp"
 
 #include "alamr/core/export.hpp"
+#include "alamr/core/parallel.hpp"
 #include "alamr/core/simulator.hpp"
 #include "alamr/core/strategies.hpp"
 #include "alamr/core/trace.hpp"
 #include "alamr/gp/gpr.hpp"
-#include "alamr/linalg/workspace.hpp"
 #include "alamr/stats/rng.hpp"
 #include "synthetic_dataset.hpp"
 
@@ -32,7 +33,6 @@ namespace {
 using namespace alamr;
 using namespace alamr::gp;
 using alamr::linalg::Matrix;
-using alamr::linalg::Workspace;
 using alamr::stats::Rng;
 namespace trace = alamr::core::trace;
 namespace faults = alamr::core::faults;
@@ -82,18 +82,20 @@ TEST(PanelGpr, BitwiseMatchesPredictBatchAcrossAppendRemoveCycles) {
   std::size_t dropped = 0;
   {
     const trace::ScopedCollector scope(collector);
-    Workspace ws;
     for (std::size_t iter = 0; iter < 8; ++iter) {
       const std::size_t m = k_star.cols();
       std::vector<double> mu_p(m);
       std::vector<double> sd_p(m);
-      std::vector<double> mu_b(m);
-      std::vector<double> sd_b(m);
-      gpr.predict_batch_panel(k_star, diag, ws, mu_p, sd_p);
-      gpr.predict_batch(k_star, diag, ws, mu_b, sd_b);
+      gpr.predict_batch_panel(k_star, diag, mu_p, sd_p);
+      Matrix alive_pool(alive.size(), pool.cols());
+      for (std::size_t q = 0; q < alive.size(); ++q) {
+        const auto src = pool.row(alive[q]);
+        std::copy(src.begin(), src.end(), alive_pool.row(q).begin());
+      }
+      const Prediction ref = gpr.predict(alive_pool);
       for (std::size_t q = 0; q < m; ++q) {
-        ASSERT_EQ(mu_p[q], mu_b[q]) << "iter " << iter << " mean " << q;
-        ASSERT_EQ(sd_p[q], sd_b[q]) << "iter " << iter << " stddev " << q;
+        ASSERT_EQ(mu_p[q], ref.mean[q]) << "iter " << iter << " mean " << q;
+        ASSERT_EQ(sd_p[q], ref.stddev[q]) << "iter " << iter << " stddev " << q;
       }
       EXPECT_EQ(gpr.panel_rows(), gpr.training_size());
       if (iter + 1 == 8) break;  // final append would never be swept
@@ -141,10 +143,9 @@ TEST(PanelGpr, FullRefitInvalidatesAndRebuildsBitwise) {
 
   trace::TraceCollector collector;
   const trace::ScopedCollector scope(collector);
-  Workspace ws;
   std::vector<double> mu(pool.rows());
   std::vector<double> sd(pool.rows());
-  gpr.predict_batch_panel(k_star, diag, ws, mu, sd);
+  gpr.predict_batch_panel(k_star, diag, mu, sd);
   EXPECT_EQ(collector.report().counter("panel.rebuilds"), 1u);
 
   // A theta move forces the full posterior rebuild — the panel must not
@@ -159,13 +160,11 @@ TEST(PanelGpr, FullRefitInvalidatesAndRebuildsBitwise) {
   const std::vector<double> diag2 = gpr.kernel().diagonal(pool);
   std::vector<double> mu_p(pool.rows());
   std::vector<double> sd_p(pool.rows());
-  std::vector<double> mu_b(pool.rows());
-  std::vector<double> sd_b(pool.rows());
-  gpr.predict_batch_panel(k_star2, diag2, ws, mu_p, sd_p);
-  gpr.predict_batch(k_star2, diag2, ws, mu_b, sd_b);
+  gpr.predict_batch_panel(k_star2, diag2, mu_p, sd_p);
+  const Prediction ref = gpr.predict(pool);
   for (std::size_t q = 0; q < pool.rows(); ++q) {
-    EXPECT_EQ(mu_p[q], mu_b[q]) << "mean " << q;
-    EXPECT_EQ(sd_p[q], sd_b[q]) << "stddev " << q;
+    EXPECT_EQ(mu_p[q], ref.mean[q]) << "mean " << q;
+    EXPECT_EQ(sd_p[q], ref.stddev[q]) << "stddev " << q;
   }
   EXPECT_EQ(collector.report().counter("panel.rebuilds"), 2u);
 }
@@ -186,13 +185,12 @@ TEST(PanelGpr, RepeatSweepWithoutGrowthAppendsNoRows) {
 
   trace::TraceCollector collector;
   const trace::ScopedCollector scope(collector);
-  Workspace ws;
   std::vector<double> mu1(pool.rows());
   std::vector<double> sd1(pool.rows());
   std::vector<double> mu2(pool.rows());
   std::vector<double> sd2(pool.rows());
-  gpr.predict_batch_panel(k_star, diag, ws, mu1, sd1);
-  gpr.predict_batch_panel(k_star, diag, ws, mu2, sd2);
+  gpr.predict_batch_panel(k_star, diag, mu1, sd1);
+  gpr.predict_batch_panel(k_star, diag, mu2, sd2);
   for (std::size_t q = 0; q < pool.rows(); ++q) {
     EXPECT_EQ(mu1[q], mu2[q]);
     EXPECT_EQ(sd1[q], sd2[q]);
@@ -202,11 +200,11 @@ TEST(PanelGpr, RepeatSweepWithoutGrowthAppendsNoRows) {
   EXPECT_EQ(report.counter("panel.rows_appended"), 0u);
 }
 
-// --- Trajectory-level: panel on vs off through the full AL loop -------------
+// --- Trajectory-level: the panel path through the full AL loop -------------
 
 constexpr std::size_t kIterations = 20;
 
-core::AlOptions panel_options(bool panel_on) {
+core::AlOptions panel_options() {
   core::AlOptions options;
   options.n_test = 60;
   options.n_init = 25;
@@ -215,7 +213,6 @@ core::AlOptions panel_options(bool panel_on) {
   options.initial_fit.max_opt_iterations = 40;
   options.refit.restarts = 0;
   options.refit.max_opt_iterations = 4;
-  options.panel_predict = panel_on;
   options.trace = true;
   return options;
 }
@@ -231,20 +228,24 @@ core::TrajectoryResult run_trajectory(const core::AlOptions& options) {
   return simulator.run_with_partition(rgma, partition, rng);
 }
 
+/// Runs the scenario serially and on the 4-lane pool: the panel's chunked
+/// sweeps (and every resume/rebuild decision) must not depend on the lane
+/// count. Returns the serial result for the counter checks.
 core::TrajectoryResult expect_panel_arms_byte_identical(
     const std::function<void(core::AlOptions&)>& customize) {
-  core::AlOptions on = panel_options(true);
-  core::AlOptions off = panel_options(false);
-  customize(on);
-  customize(off);
-  core::TrajectoryResult panel_result = run_trajectory(on);
-  const core::TrajectoryResult baseline = run_trajectory(off);
-  EXPECT_EQ(core::trajectory_to_csv(panel_result),
-            core::trajectory_to_csv(baseline));
-  // The panel-off arm must never touch the panel counters.
-  EXPECT_EQ(baseline.trace.counter("panel.rebuilds"), 0u);
-  EXPECT_EQ(baseline.trace.counter("panel.rows_appended"), 0u);
-  return panel_result;
+  core::AlOptions options = panel_options();
+  customize(options);
+  core::set_global_parallel_threads(1);
+  core::TrajectoryResult serial = run_trajectory(options);
+  core::set_global_parallel_threads(4);
+  const core::TrajectoryResult pooled = run_trajectory(options);
+  core::set_global_parallel_threads(0);  // restore the configured default
+  EXPECT_EQ(core::trajectory_to_csv(serial), core::trajectory_to_csv(pooled));
+  EXPECT_EQ(serial.trace.counter("panel.rebuilds"),
+            pooled.trace.counter("panel.rebuilds"));
+  EXPECT_EQ(serial.trace.counter("panel.rows_appended"),
+            pooled.trace.counter("panel.rows_appended"));
+  return serial;
 }
 
 TEST(PanelTrajectory, WarmRefitThetaMovesByteIdentical) {
@@ -307,10 +308,10 @@ TEST(PanelTrajectory, AcquireOomRetryCensorByteIdentical) {
 }
 
 TEST(PanelTrajectory, CheckpointResumeByteIdentical) {
-  // Mid-trajectory kill + resume with the panel on: the resume rebuilds
-  // the posterior (invalidating the panel), and the rebuilt panel must
-  // reproduce the uninterrupted run byte for byte.
-  const core::AlOptions options = panel_options(true);
+  // Mid-trajectory kill + resume: the resume rebuilds the posterior
+  // (invalidating the panel), and the rebuilt panel must reproduce the
+  // uninterrupted run byte for byte.
+  const core::AlOptions options = panel_options();
   const data::Dataset dataset = alamr::testing::synthetic_amr_dataset(320, 2024);
   const core::AlSimulator simulator(dataset, options);
   const core::Rgma rgma(simulator.memory_limit_log10());
@@ -337,42 +338,6 @@ TEST(PanelTrajectory, CheckpointResumeByteIdentical) {
   cfg.halt_after_iterations = 0;
   Rng rng_second(2024);
   const auto resumed = simulator.run_resumable(rgma, partition, rng_second, cfg);
-  EXPECT_EQ(core::trajectory_to_csv(resumed), core::trajectory_to_csv(full));
-  EXPECT_FALSE(std::filesystem::exists(path));
-}
-
-TEST(PanelTrajectory, PanelFlagIsNotFingerprinted) {
-  // The panel is derived state: a checkpoint written with the panel ON
-  // must resume with the panel OFF (and vice versa) byte-identically —
-  // the flag deliberately stays out of the trajectory fingerprint.
-  const data::Dataset dataset = alamr::testing::synthetic_amr_dataset(320, 2024);
-  const core::AlOptions on = panel_options(true);
-  const core::AlOptions off = panel_options(false);
-  const core::AlSimulator sim_on(dataset, on);
-  const core::AlSimulator sim_off(dataset, off);
-  const core::Rgma rgma(sim_on.memory_limit_log10());
-  Rng partition_rng(11);
-  const data::Partition partition = data::make_partition(
-      dataset.size(), on.n_test, on.n_init, partition_rng);
-
-  Rng rng_full(2024);
-  const auto full = sim_on.run_with_partition(rgma, partition, rng_full);
-
-  const std::filesystem::path path =
-      std::filesystem::path(::testing::TempDir()) / "panel_cross_flag.json";
-  std::filesystem::remove(path);
-  core::CheckpointConfig cfg;
-  cfg.path = path;
-  cfg.stride = 4;
-  cfg.halt_after_iterations = 8;
-  Rng rng_first(2024);
-  (void)sim_on.run_resumable(rgma, partition, rng_first, cfg);
-  ASSERT_TRUE(std::filesystem::exists(path));
-
-  cfg.resume = true;
-  cfg.halt_after_iterations = 0;
-  Rng rng_second(2024);
-  const auto resumed = sim_off.run_resumable(rgma, partition, rng_second, cfg);
   EXPECT_EQ(core::trajectory_to_csv(resumed), core::trajectory_to_csv(full));
   EXPECT_FALSE(std::filesystem::exists(path));
 }

@@ -1,8 +1,8 @@
-// Tests for the fused batched posterior (DESIGN.md §10): predict_batch
-// must be BIT-identical to the per-candidate predict() / the
-// predict_from_cross() path it replaces — the golden-trajectory suite
-// depends on the two paths being interchangeable — and the cached
-// alpha = K_y^{-1}(y - mean) must be recomputed only on (re)fit.
+// Tests for the fused batched posterior (DESIGN.md §10): a sweep through
+// predict_batch_panel over a caller-supplied cross matrix must be
+// BIT-identical to predict() — the golden-trajectory suite depends on the
+// two being interchangeable — and the cached alpha = K_y^{-1}(y - mean)
+// must be recomputed only on (re)fit.
 
 #include <gtest/gtest.h>
 
@@ -12,14 +12,12 @@
 
 #include "alamr/core/trace.hpp"
 #include "alamr/gp/gpr.hpp"
-#include "alamr/linalg/workspace.hpp"
 #include "alamr/stats/rng.hpp"
 
 namespace {
 
 using namespace alamr::gp;
 using alamr::linalg::Matrix;
-using alamr::linalg::Workspace;
 using alamr::stats::Rng;
 namespace trace = alamr::core::trace;
 
@@ -39,6 +37,20 @@ std::vector<double> targets(const Matrix& x, Rng& rng) {
     y[i] = s + rng.normal(0.0, 0.01);
   }
   return y;
+}
+
+/// A from-scratch fused sweep of `q` against training inputs `x`: the panel
+/// is discarded first, so every call solves the full Z = L^{-1} K*.
+Prediction fused_sweep(GaussianProcessRegressor& gpr, const Matrix& x,
+                       const Matrix& q) {
+  const Matrix k_star = gpr.kernel().cross(x, q);
+  const std::vector<double> diag = gpr.kernel().diagonal(q);
+  Prediction out;
+  out.mean.resize(q.rows());
+  out.stddev.resize(q.rows());
+  gpr.panel_invalidate();
+  gpr.predict_batch_panel(k_star, diag, out.mean, out.stddev);
+  return out;
 }
 
 void expect_bitwise_equal(const Prediction& a, const Prediction& b) {
@@ -75,11 +87,9 @@ TEST(PredictBatch, BitwiseMatchesPredictAcrossKernels) {
 
     const Matrix q = random_points(17, 3, rng);
     const Prediction scalar = gpr.predict(q);
-    Workspace ws;
-    const Prediction fused = gpr.predict_batch(q, ws);
-    expect_bitwise_equal(fused, scalar);
-    // Second call through the now-warm arena: same bits again.
-    expect_bitwise_equal(gpr.predict_batch(q, ws), scalar);
+    expect_bitwise_equal(fused_sweep(gpr, x, q), scalar);
+    // Second call into the now-allocated panel storage: same bits again.
+    expect_bitwise_equal(fused_sweep(gpr, x, q), scalar);
   }
 }
 
@@ -93,19 +103,20 @@ TEST(PredictBatch, SpanOverloadBitwiseMatchesPredictFromCross) {
   const Matrix q = random_points(11, 2, rng);
   const Matrix k_star = gpr.kernel().cross(x, q);
   const std::vector<double> diag = gpr.kernel().diagonal(q);
-  const Prediction expect = gpr.predict_from_cross(k_star, q);
+  const Prediction expect = gpr.predict(q);
 
-  Workspace ws;
-  std::vector<double> mean(q.rows());
-  std::vector<double> stddev(q.rows());
-  gpr.predict_batch(k_star, diag, ws, mean, stddev);
-  for (std::size_t i = 0; i < q.rows(); ++i) {
-    EXPECT_EQ(mean[i], expect.mean[i]) << i;
-    EXPECT_EQ(stddev[i], expect.stddev[i]) << i;
+  // The first sweep builds the panel, the second resumes it with nothing
+  // to append (finalize from the cached sums): both carry predict()'s bits.
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    std::vector<double> mean(q.rows());
+    std::vector<double> stddev(q.rows());
+    gpr.predict_batch_panel(k_star, diag, mean, stddev);
+    for (std::size_t i = 0; i < q.rows(); ++i) {
+      EXPECT_EQ(mean[i], expect.mean[i]) << "sweep " << sweep << " " << i;
+      EXPECT_EQ(stddev[i], expect.stddev[i]) << "sweep " << sweep << " " << i;
+    }
   }
-  // Everything carved from the arena was released on return.
-  EXPECT_EQ(ws.doubles_in_use(), 0u);
-  EXPECT_EQ(ws.open_scopes(), 0u);
+  EXPECT_EQ(gpr.panel_rows(), x.rows());
 }
 
 TEST(PredictBatch, ValidatesShapesAndFitState) {
@@ -114,19 +125,18 @@ TEST(PredictBatch, ValidatesShapesAndFitState) {
   const auto y = targets(x, rng);
   GaussianProcessRegressor gpr(make_paper_kernel(), {});
 
-  Workspace ws;
   std::vector<double> out(3);
   const Matrix k_star(10, 3);
   const std::vector<double> diag(3, 1.0);
-  EXPECT_THROW(gpr.predict_batch(k_star, diag, ws, out, out),
+  EXPECT_THROW(gpr.predict_batch_panel(k_star, diag, out, out),
                std::logic_error);
 
   gpr.fit(x, y, rng);
   std::vector<double> wrong(2);
-  EXPECT_THROW(gpr.predict_batch(k_star, diag, ws, wrong, wrong),
+  EXPECT_THROW(gpr.predict_batch_panel(k_star, diag, wrong, wrong),
                std::invalid_argument);
   const std::vector<double> short_diag(2, 1.0);
-  EXPECT_THROW(gpr.predict_batch(k_star, short_diag, ws, out, out),
+  EXPECT_THROW(gpr.predict_batch_panel(k_star, short_diag, out, out),
                std::invalid_argument);
 }
 
@@ -137,10 +147,9 @@ TEST(PredictBatch, EmptyQueryIsANoOp) {
   GaussianProcessRegressor gpr(make_paper_kernel(), {});
   gpr.fit(x, y, rng);
 
-  Workspace ws;
   const Matrix k_star(8, 0);
-  gpr.predict_batch(k_star, {}, ws, {}, {});
-  EXPECT_EQ(ws.doubles_in_use(), 0u);
+  gpr.predict_batch_panel(k_star, {}, {}, {});
+  EXPECT_EQ(gpr.panel_rows(), 0u);
 }
 
 // Regression for the cached-alpha satellite: predictions must reuse the
@@ -162,10 +171,9 @@ TEST(PredictBatch, AlphaSolvedOnlyOnRefit) {
     EXPECT_GE(after_fit, 1u);
 
     const Matrix q = random_points(9, 2, rng);
-    Workspace ws;
     for (int i = 0; i < 5; ++i) {
       (void)gpr.predict(q);
-      (void)gpr.predict_batch(q, ws);
+      (void)fused_sweep(gpr, x, q);
     }
     EXPECT_EQ(collector.report().counter("gpr.alpha_solve"), after_fit)
         << "predict must not recompute alpha";

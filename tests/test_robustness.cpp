@@ -12,6 +12,7 @@
 #include <string>
 
 #include "alamr/core/batch.hpp"
+#include "alamr/core/checkpoint.hpp"
 #include "alamr/core/export.hpp"
 #include "alamr/core/faults.hpp"
 #include "alamr/core/simulator.hpp"
@@ -510,7 +511,10 @@ TEST(Checkpoint, MissingFileWithResumeRunsFresh) {
       sim.run_with_partition(core::RandGoodness(), partition, rng_full);
 
   const std::filesystem::path path = temp_checkpoint("resume_missing.json");
-  std::filesystem::remove(path);
+  // Every generation must be gone, not just `path`: resume falls back to
+  // the newest intact older generation (path.1, path.2, ...), and one left
+  // behind by an earlier run would be resumed instead of starting fresh.
+  core::remove_durable_payload(path, core::CheckpointConfig{}.retain);
   core::CheckpointConfig cfg;
   cfg.path = path;
   cfg.stride = 2;
@@ -519,7 +523,12 @@ TEST(Checkpoint, MissingFileWithResumeRunsFresh) {
   const auto traj =
       sim.run_resumable(core::RandGoodness(), partition, rng, cfg);
   EXPECT_EQ(core::trajectory_to_csv(traj), core::trajectory_to_csv(full));
-  EXPECT_FALSE(std::filesystem::exists(path));
+  // Completion retires every generation the stride saves rotated.
+  for (std::size_t g = 0; g < cfg.retain; ++g) {
+    EXPECT_FALSE(
+        std::filesystem::exists(core::checkpoint_generation_path(path, g)))
+        << "generation " << g;
+  }
 }
 
 TEST(Checkpoint, IncompatibleFingerprintIsRejected) {
