@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "alamr/gp/gpr.hpp"
 #include "alamr/gp/kernels.hpp"
@@ -30,6 +31,13 @@ struct KernelFactory {
   const char* name;
   std::unique_ptr<Kernel> (*make)(std::size_t dim);
 };
+
+// gtest prints a parameter it cannot format as its raw bytes, and ctest puts
+// that print into the test name; the pointers here would carry the load
+// address, so the name would change with every run of the binary.
+void PrintTo(const KernelFactory& factory, std::ostream* os) {
+  *os << factory.name;
+}
 
 std::unique_ptr<Kernel> make_rbf(std::size_t) {
   return std::make_unique<RbfKernel>(0.8);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "alamr/linalg/cholesky.hpp"
 #include "alamr/stats/rng.hpp"
@@ -184,6 +185,13 @@ struct KernelFactory {
   const char* name;
   std::unique_ptr<Kernel> (*make)();
 };
+
+// gtest prints a parameter it cannot format as its raw bytes, and ctest puts
+// that print into the test name; the pointers here would carry the load
+// address, so the name would change with every run of the binary.
+void PrintTo(const KernelFactory& factory, std::ostream* os) {
+  *os << factory.name;
+}
 
 std::unique_ptr<Kernel> make_rbf() {
   return std::make_unique<RbfKernel>(0.7);
