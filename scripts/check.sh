@@ -2,7 +2,8 @@
 # Pre-PR gate: builds and runs the full test suite in four configurations
 # and fails on the first broken one.
 #
-#   1. plain       — the default release build (build-check/plain)
+#   1. plain       — the default release build with -Werror
+#                    (ALAMR_WERROR=ON; build-check/plain)
 #   2. asan        — ALAMR_SANITIZE=address,undefined with the throwing
 #                    ALAMR_ASSERT checks forced on (ALAMR_DEBUG_ASSERTS)
 #   3. ubsan       — ALAMR_SANITIZE=undefined alone: UBSan at full
@@ -122,7 +123,7 @@ run_level() {
   tail -2 /tmp/check_simd_"$name".log
 }
 
-run_config plain
+run_config plain -DALAMR_WERROR=ON
 run_config asan -DALAMR_SANITIZE=address,undefined -DALAMR_DEBUG_ASSERTS=ON
 run_config ubsan -DALAMR_SANITIZE=undefined
 run_config native -DALAMR_NATIVE=ON

@@ -320,7 +320,7 @@ class AlSimulator {
   static double paper_memory_limit_log10(const data::Dataset& dataset);
 
  private:
-  std::unique_ptr<gp::Kernel> make_kernel() const;
+  gp::Kernel make_kernel() const;
 
   /// The trajectory driver behind run_with_partition and run_resumable
   /// (checkpoint == nullptr disables checkpointing entirely; shared ==

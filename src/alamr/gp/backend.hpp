@@ -204,11 +204,12 @@ class PosteriorBackend {
   virtual std::unique_ptr<PosteriorBackend> clone() const = 0;
 };
 
-/// Builds a backend: the kernel prototype is owned by the backend (expert
-/// backends clone it per region), `fit_options` seeds the first fit's
-/// effort (adjust later fits via set_fit_options).
+/// Builds a backend: the backend holds its own copy of the kernel (expert
+/// backends copy it per region; the prior-mean backend ignores it),
+/// `fit_options` seeds the first fit's effort (adjust later fits via
+/// set_fit_options).
 std::unique_ptr<PosteriorBackend> make_backend(const BackendOptions& options,
-                                               std::unique_ptr<Kernel> kernel,
+                                               Kernel kernel,
                                                const GprOptions& fit_options);
 
 /// Graceful-degradation decorator over a PosteriorBackend (DESIGN.md §14).
@@ -239,7 +240,7 @@ std::unique_ptr<PosteriorBackend> make_backend(const BackendOptions& options,
 /// backend (golden-pinned).
 class ResilientBackend final : public PosteriorBackend {
  public:
-  using KernelFactory = std::function<std::unique_ptr<Kernel>()>;
+  using KernelFactory = std::function<Kernel()>;
 
   ResilientBackend(const BackendOptions& options,
                    const core::resilience::Options& resilience,
@@ -343,7 +344,7 @@ class ResilientBackend final : public PosteriorBackend {
 
 /// Wraps the configured backend in a ResilientBackend when
 /// `resilience.enabled`, otherwise builds the plain backend. The factory
-/// must mint a fresh kernel per call (degradation rungs own their kernel).
+/// returns the starting kernel of every rung the ladder builds.
 std::unique_ptr<PosteriorBackend> make_resilient_backend(
     const BackendOptions& options, const core::resilience::Options& resilience,
     ResilientBackend::KernelFactory kernel_factory,

@@ -2,7 +2,7 @@
 
 // Hyperparameter-independent pairwise-distance caches for kernel matrices.
 //
-// Every RBF/Matern/RQ gram or cross-covariance entry is a scalar function
+// Every RBF/Matern gram or cross-covariance entry is a scalar function
 // of the squared Euclidean distance between two points, and the distances
 // do not depend on the hyperparameters the LML optimizer moves. A
 // PairwiseDistances object therefore factors the O(n^2 d) feature passes
@@ -65,15 +65,15 @@ class DistanceBase {
 /// train when symmetric, train x query otherwise). Entries are computed
 /// with exactly linalg::squared_distance, in the same (i, j) orientation
 /// the kernels use, so cached kernel evaluations are bit-identical to the
-/// direct ones.
+/// ones from feature rows.
 class PairwiseDistances {
  public:
   /// Symmetric train x train cache (diagonal is exactly 0, lower triangle
-  /// computed, upper mirrored — matching the kernels' gram() loops).
+  /// computed, upper mirrored — matching the kernel's gram loops).
   static PairwiseDistances train(const Matrix& x);
 
   /// Rectangular x-by-y cache (row i = point i of x, column j = point j
-  /// of y — matching the kernels' cross() loops).
+  /// of y — matching the kernel's cross loops).
   static PairwiseDistances cross(const Matrix& x, const Matrix& y);
 
   /// Symmetric cache over the subset base.x()[rows], gathered from the
@@ -95,8 +95,7 @@ class PairwiseDistances {
   std::size_t dim() const noexcept { return x_.cols(); }
 
   /// The point sets the cache was built from (y() aliases x() when
-  /// symmetric). Used by the base-class fallbacks for kernels that do not
-  /// implement a cached path.
+  /// symmetric); ensure_components() and append_x_row() read them.
   const Matrix& x() const noexcept { return x_; }
   const Matrix& y() const noexcept { return symmetric_ ? x_ : y_; }
 

@@ -9,7 +9,6 @@
 //    (Algorithm 1: "use old model's parameters as a starting point");
 //  - predict() returns the posterior mean and standard deviation (Eq. 3).
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -44,14 +43,9 @@ struct Prediction {
 
 class GaussianProcessRegressor {
  public:
-  /// Takes ownership of the kernel; its hyperparameters evolve with fits.
-  GaussianProcessRegressor(std::unique_ptr<Kernel> kernel,
-                           GprOptions options = {});
-
-  GaussianProcessRegressor(const GaussianProcessRegressor& other);
-  GaussianProcessRegressor& operator=(const GaussianProcessRegressor& other);
-  GaussianProcessRegressor(GaussianProcessRegressor&&) noexcept = default;
-  GaussianProcessRegressor& operator=(GaussianProcessRegressor&&) noexcept = default;
+  /// Holds its own copy of the kernel; its hyperparameters evolve with
+  /// fits.
+  explicit GaussianProcessRegressor(Kernel kernel, GprOptions options = {});
 
   /// Fits the model on (x, y): optimizes hyperparameters (unless disabled)
   /// starting from the kernel's current values, then precomputes the
@@ -173,7 +167,7 @@ class GaussianProcessRegressor {
                                  std::span<double> grad) const;
 
   bool fitted() const noexcept { return factor_.has_value(); }
-  const Kernel& kernel() const noexcept { return *kernel_; }
+  const Kernel& kernel() const noexcept { return kernel_; }
   std::size_t training_size() const noexcept { return x_train_.rows(); }
   const GprOptions& options() const noexcept { return options_; }
 
@@ -186,7 +180,7 @@ class GaussianProcessRegressor {
   /// optimization disabled); does not touch the cached posterior by
   /// itself.
   void set_kernel_log_params(std::span<const double> theta) {
-    kernel_->set_log_params(theta);
+    kernel_.set_log_params(theta);
   }
 
  private:
@@ -231,7 +225,7 @@ class GaussianProcessRegressor {
                       double* z, std::size_t row_begin, double* acc,
                       std::span<double> stddev_out) const;
 
-  std::unique_ptr<Kernel> kernel_;
+  Kernel kernel_;
   GprOptions options_;
 
   Matrix x_train_;

@@ -1,16 +1,18 @@
 #pragma once
 
-// Covariance functions for Gaussian Process Regression (paper Eqs. 4-7)
-// with kernel engineering in the style of scikit-learn 0.18 (which the
-// paper uses): kernels compose by sum and product, and every kernel
-// exposes its hyperparameters as a vector of natural-log values ("theta")
-// together with analytic gram-matrix gradients for LML maximization.
+// The stationary covariance model of the paper (Eqs. 4-7) and its kernel
+// ablation, in the hyperparameter convention of scikit-learn 0.18 (which
+// the paper uses):
 //
-// The paper's model is ConstantKernel * RBF + WhiteKernel (Eq. 7 with
-// amplitude sigma_f^2 and noise sigma_n^2). Matern kernels (future-work
-// section) and ARD length scales are provided for the kernel ablation.
+//   k(x, x') = c * f(|x - x'|^2 / l^2) + s * [x == x']
+//
+// i.e. sklearn's ConstantKernel(c) * Profile(l) + WhiteKernel(s). The paper's
+// model (Eq. 7) is the RBF profile; the kernel ablation swaps in RBF with
+// one length scale per input dimension (ARD) and the Matérn nu = 3/2 and
+// nu = 5/2 profiles (future-work section). Hyperparameters are exposed as
+// natural logs in sklearn's order [log c, log l..., log s], together with
+// analytic gram-matrix gradients for LML maximization.
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,358 +25,91 @@ namespace alamr::gp {
 
 using linalg::Matrix;
 
-/// Abstract covariance function.
+/// One concrete, copyable covariance function. Every GPR owns its kernel by
+/// value; its state evolves across AL iterations via warm-started refits.
 ///
-/// Hyperparameters are exposed in natural-log space; gradients returned by
-/// gram_with_gradients are with respect to those log parameters (the chain
-/// rule factor is applied internally), which is the convention the LML
-/// optimizer expects.
+/// Gradients are with respect to the log-hyperparameters (the chain-rule
+/// factor is applied internally), the convention the LML optimizer expects.
+///
+/// Matrices are built from a PairwiseDistances cache (gram and training
+/// cross-covariances) or from feature rows (cross()). Both sources carry
+/// bit-identical squared distances, and the per-entry arithmetic after the
+/// distance lookup is shared, so cross_cached() and cross() agree bit for
+/// bit and the off-diagonal of gram_cached() equals cross() of its rows.
 class Kernel {
  public:
-  virtual ~Kernel() = default;
+  /// The unit correlation f. Values are stable (they mirror
+  /// core::KernelChoice).
+  enum class Profile { kRbf = 0, kRbfArd = 1, kMatern32 = 2, kMatern52 = 3 };
 
-  /// Number of log-hyperparameters.
-  virtual std::size_t num_params() const = 0;
+  /// `length_scales` holds one entry, or one per input dimension for
+  /// kRbfArd. Bounds are fixed: c in [1e-5, 1e5], l in [1e-3, 1e3],
+  /// s in [1e-10, 1e2].
+  Kernel(Profile profile, double amplitude, std::vector<double> length_scales,
+         double noise);
 
-  /// Current log-hyperparameters.
-  virtual std::vector<double> log_params() const = 0;
+  Profile profile() const noexcept { return profile_; }
+  double amplitude() const noexcept { return amplitude_; }
+  std::span<const double> length_scales() const noexcept { return lengths_; }
+  double noise() const noexcept { return noise_; }
+
+  /// Number of log-hyperparameters: amplitude, length scales, noise.
+  std::size_t num_params() const noexcept { return lengths_.size() + 2; }
+
+  /// Current log-hyperparameters [log c, log l..., log s].
+  std::vector<double> log_params() const;
 
   /// Sets log-hyperparameters. Size must equal num_params().
-  virtual void set_log_params(std::span<const double> theta) = 0;
+  void set_log_params(std::span<const double> theta);
 
-  /// Box bounds on the log-hyperparameters (always fully specified).
-  virtual opt::Bounds log_bounds() const = 0;
-
-  /// K(X, X) — symmetric gram matrix.
-  virtual Matrix gram(const Matrix& x) const = 0;
-
-  /// K(X, X) and dK/dtheta_j for every log-hyperparameter j.
-  virtual Matrix gram_with_gradients(const Matrix& x,
-                                     std::vector<Matrix>& gradients) const = 0;
-
-  /// K(X, Y) — cross-covariance (WhiteKernel contributes zero here).
-  virtual Matrix cross(const Matrix& x, const Matrix& y) const = 0;
-
-  // ---- distance-cached evaluation ------------------------------------------
-  //
-  // The cached variants consume a PairwiseDistances built from the same
-  // point sets the direct calls would take, replacing every O(d) feature
-  // pass with one cached load. Results are bit-identical to the direct
-  // calls: the per-entry arithmetic after the distance lookup is the same,
-  // expression for expression. Base-class defaults fall back to the direct
-  // path (using the points the cache retains) so kernels without a cached
-  // implementation keep working; all built-in kernels override.
+  /// Box bounds on the log-hyperparameters.
+  opt::Bounds log_bounds() const;
 
   /// Requests whatever derived data this kernel needs from the cache (ARD
   /// needs per-dimension components). Called eagerly before optimization
   /// so the cache is read-only while multistart workers share it.
-  virtual void prepare_distances(PairwiseDistances& dist) const;
+  void prepare_distances(PairwiseDistances& dist) const;
 
-  /// gram(X) from a symmetric cache built over X.
-  virtual Matrix gram_cached(const PairwiseDistances& dist) const;
+  /// K(X, X) from a symmetric cache built over X (noise on the diagonal).
+  Matrix gram_cached(const PairwiseDistances& dist) const;
 
-  /// gram_with_gradients(X) from a symmetric cache built over X.
-  virtual Matrix gram_with_gradients_cached(
-      const PairwiseDistances& dist, std::vector<Matrix>& gradients) const;
+  /// K(X, X) and dK/dtheta_j for every log-hyperparameter j, in one pass.
+  Matrix gram_with_gradients_cached(const PairwiseDistances& dist,
+                                    std::vector<Matrix>& gradients) const;
 
-  /// cross(X, Y) from a rectangular cache built over (X, Y).
-  virtual Matrix cross_cached(const PairwiseDistances& dist) const;
+  /// K(X, Y) from a rectangular cache built over (X, Y). Noise never
+  /// enters a cross-covariance.
+  Matrix cross_cached(const PairwiseDistances& dist) const;
 
-  /// diag(K(X, X)) without forming the full gram matrix.
-  virtual std::vector<double> diagonal(const Matrix& x) const = 0;
+  /// K(X, Y) from feature rows; bit-identical to cross_cached().
+  Matrix cross(const Matrix& x, const Matrix& y) const;
 
-  /// Deep copy (each GPR owns an independent kernel whose state evolves
-  /// across AL iterations via warm-started refits).
-  virtual std::unique_ptr<Kernel> clone() const = 0;
+  /// diag(K(X, X)) = c + s without forming the gram matrix.
+  std::vector<double> diagonal(const Matrix& x) const;
 
-  /// Human-readable representation with current hyperparameter values.
-  virtual std::string describe() const = 0;
-};
-
-/// k(x, x') = c. As a factor in a product it is the amplitude sigma_f^2.
-class ConstantKernel final : public Kernel {
- public:
-  explicit ConstantKernel(double value = 1.0, double lower = 1e-5,
-                          double upper = 1e5);
-
-  double value() const noexcept { return value_; }
-
-  std::size_t num_params() const override { return 1; }
-  std::vector<double> log_params() const override;
-  void set_log_params(std::span<const double> theta) override;
-  opt::Bounds log_bounds() const override;
-  Matrix gram(const Matrix& x) const override;
-  Matrix gram_with_gradients(const Matrix& x,
-                             std::vector<Matrix>& gradients) const override;
-  Matrix cross(const Matrix& x, const Matrix& y) const override;
-  Matrix gram_cached(const PairwiseDistances& dist) const override;
-  Matrix gram_with_gradients_cached(
-      const PairwiseDistances& dist,
-      std::vector<Matrix>& gradients) const override;
-  Matrix cross_cached(const PairwiseDistances& dist) const override;
-  std::vector<double> diagonal(const Matrix& x) const override;
-  std::unique_ptr<Kernel> clone() const override;
-  std::string describe() const override;
+  /// Human-readable representation with current hyperparameter values, in
+  /// the sklearn composite notation.
+  std::string describe() const;
 
  private:
-  double value_;
-  double lower_;
-  double upper_;
-};
+  template <class Source>
+  Matrix cross_from(const Source& src) const;
 
-/// k(x, x') = noise * [x == x'] — i.i.d. Gaussian noise sigma_n^2 on the
-/// training targets. Contributes only to gram(X, X), never to cross().
-class WhiteKernel final : public Kernel {
- public:
-  explicit WhiteKernel(double noise = 1e-2, double lower = 1e-10,
-                       double upper = 1e2);
-
-  double noise() const noexcept { return noise_; }
-
-  std::size_t num_params() const override { return 1; }
-  std::vector<double> log_params() const override;
-  void set_log_params(std::span<const double> theta) override;
-  opt::Bounds log_bounds() const override;
-  Matrix gram(const Matrix& x) const override;
-  Matrix gram_with_gradients(const Matrix& x,
-                             std::vector<Matrix>& gradients) const override;
-  Matrix cross(const Matrix& x, const Matrix& y) const override;
-  Matrix gram_cached(const PairwiseDistances& dist) const override;
-  Matrix gram_with_gradients_cached(
-      const PairwiseDistances& dist,
-      std::vector<Matrix>& gradients) const override;
-  Matrix cross_cached(const PairwiseDistances& dist) const override;
-  std::vector<double> diagonal(const Matrix& x) const override;
-  std::unique_ptr<Kernel> clone() const override;
-  std::string describe() const override;
-
- private:
-  double noise_;
-  double lower_;
-  double upper_;
-};
-
-/// Isotropic squared exponential (paper Eq. 7, unit amplitude):
-/// k(x, x') = exp(-|x - x'|^2 / (2 l^2)).
-class RbfKernel final : public Kernel {
- public:
-  explicit RbfKernel(double length_scale = 1.0, double lower = 1e-3,
-                     double upper = 1e3);
-
-  double length_scale() const noexcept { return length_; }
-
-  std::size_t num_params() const override { return 1; }
-  std::vector<double> log_params() const override;
-  void set_log_params(std::span<const double> theta) override;
-  opt::Bounds log_bounds() const override;
-  Matrix gram(const Matrix& x) const override;
-  Matrix gram_with_gradients(const Matrix& x,
-                             std::vector<Matrix>& gradients) const override;
-  Matrix cross(const Matrix& x, const Matrix& y) const override;
-  Matrix gram_cached(const PairwiseDistances& dist) const override;
-  Matrix gram_with_gradients_cached(
-      const PairwiseDistances& dist,
-      std::vector<Matrix>& gradients) const override;
-  Matrix cross_cached(const PairwiseDistances& dist) const override;
-  std::vector<double> diagonal(const Matrix& x) const override;
-  std::unique_ptr<Kernel> clone() const override;
-  std::string describe() const override;
-
- private:
-  double length_;
-  double lower_;
-  double upper_;
-};
-
-/// Anisotropic (ARD) squared exponential with one length scale per input
-/// dimension: k(x, x') = exp(-1/2 sum_i (x_i - x'_i)^2 / l_i^2).
-class RbfArdKernel final : public Kernel {
- public:
-  explicit RbfArdKernel(std::vector<double> length_scales, double lower = 1e-3,
-                        double upper = 1e3);
-
-  std::span<const double> length_scales() const noexcept { return lengths_; }
-
-  std::size_t num_params() const override { return lengths_.size(); }
-  void prepare_distances(PairwiseDistances& dist) const override;
-  std::vector<double> log_params() const override;
-  void set_log_params(std::span<const double> theta) override;
-  opt::Bounds log_bounds() const override;
-  Matrix gram(const Matrix& x) const override;
-  Matrix gram_with_gradients(const Matrix& x,
-                             std::vector<Matrix>& gradients) const override;
-  Matrix cross(const Matrix& x, const Matrix& y) const override;
-  Matrix gram_cached(const PairwiseDistances& dist) const override;
-  Matrix gram_with_gradients_cached(
-      const PairwiseDistances& dist,
-      std::vector<Matrix>& gradients) const override;
-  Matrix cross_cached(const PairwiseDistances& dist) const override;
-  std::vector<double> diagonal(const Matrix& x) const override;
-  std::unique_ptr<Kernel> clone() const override;
-  std::string describe() const override;
-
- private:
+  Profile profile_;
+  double amplitude_;
   std::vector<double> lengths_;
-  double lower_;
-  double upper_;
+  double noise_;
 };
-
-/// Matérn covariance with half-integer smoothness nu in {1/2, 3/2, 5/2}
-/// (the closed-form cases; the paper's future-work section proposes these
-/// for controllable smoothness). nu = 1/2 is the exponential kernel.
-class MaternKernel final : public Kernel {
- public:
-  enum class Nu { kHalf, kThreeHalves, kFiveHalves };
-
-  explicit MaternKernel(Nu nu, double length_scale = 1.0, double lower = 1e-3,
-                        double upper = 1e3);
-
-  Nu nu() const noexcept { return nu_; }
-  double length_scale() const noexcept { return length_; }
-
-  std::size_t num_params() const override { return 1; }
-  std::vector<double> log_params() const override;
-  void set_log_params(std::span<const double> theta) override;
-  opt::Bounds log_bounds() const override;
-  Matrix gram(const Matrix& x) const override;
-  Matrix gram_with_gradients(const Matrix& x,
-                             std::vector<Matrix>& gradients) const override;
-  Matrix cross(const Matrix& x, const Matrix& y) const override;
-  Matrix gram_cached(const PairwiseDistances& dist) const override;
-  Matrix gram_with_gradients_cached(
-      const PairwiseDistances& dist,
-      std::vector<Matrix>& gradients) const override;
-  Matrix cross_cached(const PairwiseDistances& dist) const override;
-  std::vector<double> diagonal(const Matrix& x) const override;
-  std::unique_ptr<Kernel> clone() const override;
-  std::string describe() const override;
-
- private:
-  /// Kernel value and d/d(log l) at squared distance r2.
-  void eval(double r2, double& value, double& dlogl) const;
-
-  Nu nu_;
-  double length_;
-  double lower_;
-  double upper_;
-};
-
-/// Rational Quadratic: k(x,x') = (1 + |x-x'|^2 / (2 alpha l^2))^-alpha —
-/// a scale mixture of RBFs; alpha -> inf recovers the RBF. Two
-/// log-hyperparameters: [log l, log alpha].
-class RationalQuadraticKernel final : public Kernel {
- public:
-  explicit RationalQuadraticKernel(double length_scale = 1.0,
-                                   double alpha = 1.0, double lower = 1e-3,
-                                   double upper = 1e3);
-
-  double length_scale() const noexcept { return length_; }
-  double alpha() const noexcept { return alpha_; }
-
-  std::size_t num_params() const override { return 2; }
-  std::vector<double> log_params() const override;
-  void set_log_params(std::span<const double> theta) override;
-  opt::Bounds log_bounds() const override;
-  Matrix gram(const Matrix& x) const override;
-  Matrix gram_with_gradients(const Matrix& x,
-                             std::vector<Matrix>& gradients) const override;
-  Matrix cross(const Matrix& x, const Matrix& y) const override;
-  Matrix gram_cached(const PairwiseDistances& dist) const override;
-  Matrix gram_with_gradients_cached(
-      const PairwiseDistances& dist,
-      std::vector<Matrix>& gradients) const override;
-  Matrix cross_cached(const PairwiseDistances& dist) const override;
-  std::vector<double> diagonal(const Matrix& x) const override;
-  std::unique_ptr<Kernel> clone() const override;
-  std::string describe() const override;
-
- private:
-  /// Value and d/d(log l), d/d(log alpha) at squared distance r2.
-  void eval(double r2, double& value, double& dlogl, double& dlogalpha) const;
-
-  double length_;
-  double alpha_;
-  double lower_;
-  double upper_;
-};
-
-/// k = k1 + k2; hyperparameters are the concatenation [theta1, theta2].
-class SumKernel final : public Kernel {
- public:
-  SumKernel(std::unique_ptr<Kernel> left, std::unique_ptr<Kernel> right);
-
-  std::size_t num_params() const override;
-  void prepare_distances(PairwiseDistances& dist) const override;
-  std::vector<double> log_params() const override;
-  void set_log_params(std::span<const double> theta) override;
-  opt::Bounds log_bounds() const override;
-  Matrix gram(const Matrix& x) const override;
-  Matrix gram_with_gradients(const Matrix& x,
-                             std::vector<Matrix>& gradients) const override;
-  Matrix cross(const Matrix& x, const Matrix& y) const override;
-  Matrix gram_cached(const PairwiseDistances& dist) const override;
-  Matrix gram_with_gradients_cached(
-      const PairwiseDistances& dist,
-      std::vector<Matrix>& gradients) const override;
-  Matrix cross_cached(const PairwiseDistances& dist) const override;
-  std::vector<double> diagonal(const Matrix& x) const override;
-  std::unique_ptr<Kernel> clone() const override;
-  std::string describe() const override;
-
- private:
-  std::unique_ptr<Kernel> left_;
-  std::unique_ptr<Kernel> right_;
-};
-
-/// k = k1 * k2 (elementwise); hyperparameters are [theta1, theta2].
-class ProductKernel final : public Kernel {
- public:
-  ProductKernel(std::unique_ptr<Kernel> left, std::unique_ptr<Kernel> right);
-
-  std::size_t num_params() const override;
-  void prepare_distances(PairwiseDistances& dist) const override;
-  std::vector<double> log_params() const override;
-  void set_log_params(std::span<const double> theta) override;
-  opt::Bounds log_bounds() const override;
-  Matrix gram(const Matrix& x) const override;
-  Matrix gram_with_gradients(const Matrix& x,
-                             std::vector<Matrix>& gradients) const override;
-  Matrix cross(const Matrix& x, const Matrix& y) const override;
-  Matrix gram_cached(const PairwiseDistances& dist) const override;
-  Matrix gram_with_gradients_cached(
-      const PairwiseDistances& dist,
-      std::vector<Matrix>& gradients) const override;
-  Matrix cross_cached(const PairwiseDistances& dist) const override;
-  std::vector<double> diagonal(const Matrix& x) const override;
-  std::unique_ptr<Kernel> clone() const override;
-  std::string describe() const override;
-
- private:
-  std::unique_ptr<Kernel> left_;
-  std::unique_ptr<Kernel> right_;
-};
-
-/// Builder helpers so model definitions read like formulas:
-/// `product(constant(1.0), rbf(1.0)) + white(1e-2)` style.
-std::unique_ptr<Kernel> sum(std::unique_ptr<Kernel> a, std::unique_ptr<Kernel> b);
-std::unique_ptr<Kernel> product(std::unique_ptr<Kernel> a,
-                                std::unique_ptr<Kernel> b);
 
 /// The paper's model: sigma_f^2 * RBF(l) + White(sigma_n^2), with broad
 /// bounds suitable for unit-cube features and log10 responses.
-std::unique_ptr<Kernel> make_paper_kernel(double amplitude = 1.0,
-                                          double length_scale = 1.0,
-                                          double noise = 1e-2);
+Kernel make_paper_kernel(double amplitude = 1.0, double length_scale = 1.0,
+                         double noise = 1e-2);
 
-/// ARD variant used by the kernel ablation.
-std::unique_ptr<Kernel> make_ard_kernel(std::size_t dim, double amplitude = 1.0,
-                                        double length_scale = 1.0,
-                                        double noise = 1e-2);
-
-/// Matérn variant used by the kernel ablation.
-std::unique_ptr<Kernel> make_matern_kernel(MaternKernel::Nu nu,
-                                           double amplitude = 1.0,
-                                           double length_scale = 1.0,
-                                           double noise = 1e-2);
+/// Any profile at the default starting point; kRbfArd gets `dim` copies of
+/// `length_scale` (the other profiles ignore `dim`).
+Kernel make_kernel(Kernel::Profile profile, std::size_t dim,
+                   double amplitude = 1.0, double length_scale = 1.0,
+                   double noise = 1e-2);
 
 }  // namespace alamr::gp

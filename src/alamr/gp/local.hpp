@@ -61,18 +61,14 @@ class LocalGprEnsemble {
     Fallback fallback = Fallback::kGlobalModel;
   };
 
-  /// `prototype` supplies the kernel structure for every region model
-  /// (each region clones it and evolves its own hyperparameters).
-  LocalGprEnsemble(std::unique_ptr<Kernel> prototype, RegionLabeler labeler,
+  /// `prototype` supplies the kernel for every region model (each region
+  /// copies it and evolves its own hyperparameters).
+  ///
+  /// Copies are deep. The labeler is copied as-is; callers whose labeler
+  /// captures `this` of an enclosing object must rebind it via
+  /// set_labeler() after copying.
+  LocalGprEnsemble(Kernel prototype, RegionLabeler labeler,
                    GprOptions options = {});
-
-  /// Deep copy (the prototype kernel is cloned). The labeler is copied
-  /// as-is; callers whose labeler captures `this` of an enclosing object
-  /// must rebind it via set_labeler() after copying.
-  LocalGprEnsemble(const LocalGprEnsemble& other);
-  LocalGprEnsemble& operator=(const LocalGprEnsemble& other);
-  LocalGprEnsemble(LocalGprEnsemble&&) noexcept = default;
-  LocalGprEnsemble& operator=(LocalGprEnsemble&&) noexcept = default;
 
   /// Replaces the region labeler (used after copying an ensemble whose
   /// labeler captured state of the copied-from owner). The new labeler
@@ -156,7 +152,7 @@ class LocalGprEnsemble {
   /// Prior-fallback posterior at the rows of x.
   Prediction prior_prediction(const Matrix& x) const;
 
-  std::unique_ptr<Kernel> prototype_;
+  Kernel prototype_;
   RegionLabeler labeler_;
   GprOptions options_;
 

@@ -85,8 +85,12 @@ class Workspace {
 
   /// Doubles currently handed out (since the last full reset/rewind).
   std::size_t doubles_in_use() const noexcept { return in_use_; }
-  /// High-water mark of doubles_in_use() over the arena's lifetime.
+  /// High-water mark of doubles_in_use() over the arena's lifetime, or
+  /// since the last restart_peak().
   std::size_t doubles_peak() const noexcept { return peak_; }
+  /// Restarts the high-water mark from the current use, so a capacity
+  /// pre-warm (alloc + reset) does not count as use.
+  void restart_peak() noexcept { peak_ = in_use_; }
   /// bytes variants, for the `arena.bytes_peak` trace counter.
   std::size_t bytes_in_use() const noexcept { return in_use_ * sizeof(double); }
   std::size_t bytes_peak() const noexcept { return peak_ * sizeof(double); }

@@ -186,9 +186,11 @@ OnlineResult OnlineAlDriver::run(const Strategy& strategy, stats::Rng& rng,
       [&](std::size_t row) -> std::optional<std::pair<double, double>> {
     std::pair<double, double> measured{0.0, 0.0};
     const auto validate = [&] {
-      if (!(measured.first > 0.0) || !(measured.second > 0.0)) {
+      if (!(measured.first > 0.0) || !(measured.second > 0.0) ||
+          !std::isfinite(measured.first) || !std::isfinite(measured.second)) {
         throw OnlineContractError(
-            "OnlineAlDriver: oracle returned non-positive measurement");
+            "OnlineAlDriver: oracle returned non-positive or non-finite "
+            "measurement");
       }
     };
     if (!options_.resilience.enabled) {

@@ -602,9 +602,11 @@ struct SessionEngine::Impl {
       throw OnlineContractError(
           "SessionEngine: observe without an outstanding suggestion");
     }
-    if (!(cost > 0.0) || !(memory > 0.0)) {
+    // +inf would reach log10 and the fit; NaN fails the comparison too.
+    if (!(cost > 0.0) || !(memory > 0.0) || !std::isfinite(cost) ||
+        !std::isfinite(memory)) {
       throw OnlineContractError(
-          "SessionEngine: non-positive measurement reported");
+          "SessionEngine: non-positive or non-finite measurement reported");
     }
     const PendingSuggestion p = *s.pending;
     s.pending.reset();

@@ -191,14 +191,16 @@ double AlSimulator::paper_memory_limit_log10(const data::Dataset& dataset) {
   return stats::quantile(log_mem, 0.5);
 }
 
-std::unique_ptr<gp::Kernel> AlSimulator::make_kernel() const {
+gp::Kernel AlSimulator::make_kernel() const {
+  using Profile = gp::Kernel::Profile;
   switch (options_.kernel) {
     case KernelChoice::kRbf: return gp::make_paper_kernel();
-    case KernelChoice::kRbfArd: return gp::make_ard_kernel(dataset_.dim());
+    case KernelChoice::kRbfArd:
+      return gp::make_kernel(Profile::kRbfArd, dataset_.dim());
     case KernelChoice::kMatern32:
-      return gp::make_matern_kernel(gp::MaternKernel::Nu::kThreeHalves);
+      return gp::make_kernel(Profile::kMatern32, dataset_.dim());
     case KernelChoice::kMatern52:
-      return gp::make_matern_kernel(gp::MaternKernel::Nu::kFiveHalves);
+      return gp::make_kernel(Profile::kMatern52, dataset_.dim());
   }
   throw std::logic_error("AlSimulator: unknown kernel choice");
 }
@@ -483,6 +485,7 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
     if (doubles != 0) {
       ws.alloc(doubles);
       ws.reset();
+      ws.restart_peak();  // arena.inuse_peak_bytes measures passes only
     }
   }
   std::size_t arena_cap_prev = ws.capacity_doubles();

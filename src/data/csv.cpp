@@ -70,9 +70,11 @@ std::string to_csv_string(const Dataset& dataset) {
   std::ostringstream os;
   os.precision(17);
   for (std::size_t j = 0; j < dataset.dim(); ++j) {
-    os << (dataset.feature_names.empty() ? ("f" + std::to_string(j))
-                                         : dataset.feature_names[j])
-       << ',';
+    if (dataset.feature_names.empty()) {
+      os << 'f' << j << ',';
+    } else {
+      os << dataset.feature_names[j] << ',';
+    }
   }
   os << "wallclock_s,cost_nh,maxrss_mb\n";
   for (std::size_t i = 0; i < dataset.size(); ++i) {

@@ -57,7 +57,7 @@ double bits_from_hex(const std::string& text) {
 
 class ExactGprBackend final : public PosteriorBackend {
  public:
-  ExactGprBackend(std::unique_ptr<Kernel> kernel, const GprOptions& fit_options)
+  ExactGprBackend(Kernel kernel, const GprOptions& fit_options)
       : gpr_(std::move(kernel), fit_options) {}
 
   std::string_view name() const noexcept override { return "exact"; }
@@ -306,7 +306,7 @@ class ExactGprBackend final : public PosteriorBackend {
 class SubsetOfDataBackend final : public PosteriorBackend {
  public:
   SubsetOfDataBackend(const BackendOptions& options,
-                      std::unique_ptr<Kernel> kernel,
+                      Kernel kernel,
                       const GprOptions& fit_options)
       : gpr_(std::move(kernel), fit_options),
         cap_(std::max<std::size_t>(options.inducing_points, 2)) {
@@ -545,7 +545,7 @@ class SubsetOfDataBackend final : public PosteriorBackend {
 class LocalExpertsBackend final : public PosteriorBackend {
  public:
   LocalExpertsBackend(const BackendOptions& options,
-                      std::unique_ptr<Kernel> kernel,
+                      Kernel kernel,
                       const GprOptions& fit_options)
       : experts_(std::max<std::size_t>(options.experts, 1)),
         min_expert_size_(std::max<std::size_t>(options.min_expert_size, 1)),
@@ -887,7 +887,7 @@ std::string to_string(BackendKind kind) {
 }
 
 std::unique_ptr<PosteriorBackend> make_backend(const BackendOptions& options,
-                                               std::unique_ptr<Kernel> kernel,
+                                               Kernel kernel,
                                                const GprOptions& fit_options) {
   switch (options.kind) {
     case BackendKind::kExact:
@@ -993,9 +993,7 @@ std::unique_ptr<PosteriorBackend> ResilientBackend::make_inner(
     BackendKind kind) const {
   BackendOptions options = base_options_;
   options.kind = kind;
-  std::unique_ptr<Kernel> kernel;
-  if (kind != BackendKind::kPriorMean) kernel = kernel_factory_();
-  return make_backend(options, std::move(kernel), fit_options_);
+  return make_backend(options, kernel_factory_(), fit_options_);
 }
 
 std::string_view ResilientBackend::name() const noexcept {

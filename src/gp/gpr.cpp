@@ -21,62 +21,19 @@ constexpr double kLogTwoPi = 1.8378770664093453;  // log(2*pi)
 
 }  // namespace
 
-GaussianProcessRegressor::GaussianProcessRegressor(std::unique_ptr<Kernel> kernel,
+GaussianProcessRegressor::GaussianProcessRegressor(Kernel kernel,
                                                    GprOptions options)
-    : kernel_(std::move(kernel)), options_(options) {
-  if (!kernel_) throw std::invalid_argument("GPR: kernel must not be null");
-}
-
-GaussianProcessRegressor::GaussianProcessRegressor(
-    const GaussianProcessRegressor& other)
-    : kernel_(other.kernel_->clone()),
-      options_(other.options_),
-      x_train_(other.x_train_),
-      train_dist_(other.train_dist_),
-      y_raw_(other.y_raw_),
-      y_train_(other.y_train_),
-      y_mean_(other.y_mean_),
-      gram_(other.gram_),
-      jitter_(other.jitter_),
-      factor_(other.factor_),
-      alpha_(other.alpha_),
-      lml_(other.lml_),
-      last_good_params_(other.last_good_params_),
-      panel_z_(other.panel_z_),
-      panel_acc_(other.panel_acc_),
-      panel_valid_(other.panel_valid_) {}
-
-GaussianProcessRegressor& GaussianProcessRegressor::operator=(
-    const GaussianProcessRegressor& other) {
-  if (this == &other) return *this;
-  kernel_ = other.kernel_->clone();
-  options_ = other.options_;
-  x_train_ = other.x_train_;
-  train_dist_ = other.train_dist_;
-  y_raw_ = other.y_raw_;
-  y_train_ = other.y_train_;
-  y_mean_ = other.y_mean_;
-  gram_ = other.gram_;
-  jitter_ = other.jitter_;
-  factor_ = other.factor_;
-  alpha_ = other.alpha_;
-  lml_ = other.lml_;
-  last_good_params_ = other.last_good_params_;
-  panel_z_ = other.panel_z_;
-  panel_acc_ = other.panel_acc_;
-  panel_valid_ = other.panel_valid_;
-  return *this;
-}
+    : kernel_(std::move(kernel)), options_(options) {}
 
 double GaussianProcessRegressor::log_marginal_likelihood(
     std::span<const double> log_params, std::span<double> grad) const {
   if (x_train_.empty()) {
     throw std::logic_error("GPR: no training data stored");
   }
-  // Evaluate against a scratch clone so the caller-visible kernel state is
+  // Evaluate against a scratch copy so the caller-visible kernel state is
   // untouched (the optimizer probes many parameter vectors).
-  const std::unique_ptr<Kernel> probe = kernel_->clone();
-  probe->set_log_params(log_params);
+  Kernel probe = kernel_;
+  probe.set_log_params(log_params);
 
   const std::size_t n = x_train_.rows();
   std::vector<Matrix> gradients;
@@ -86,8 +43,8 @@ double GaussianProcessRegressor::log_marginal_likelihood(
   // workers share it freely.
   core::trace::count("gpr.dist_cache_hit");
   const Matrix k =
-      grad.empty() ? probe->gram_cached(*train_dist_)
-                   : probe->gram_with_gradients_cached(*train_dist_, gradients);
+      grad.empty() ? probe.gram_cached(*train_dist_)
+                   : probe.gram_with_gradients_cached(*train_dist_, gradients);
 
   const auto [factor, jitter] =
       linalg::cholesky_with_jitter(k, options_.initial_jitter, options_.max_jitter);
@@ -99,7 +56,7 @@ double GaussianProcessRegressor::log_marginal_likelihood(
   lml -= 0.5 * static_cast<double>(n) * kLogTwoPi;
 
   if (!grad.empty()) {
-    if (grad.size() != probe->num_params()) {
+    if (grad.size() != probe.num_params()) {
       throw std::invalid_argument("GPR: gradient span size mismatch");
     }
     // dLML/dtheta_j = 1/2 tr((alpha alpha^T - K^{-1}) dK/dtheta_j).
@@ -142,7 +99,7 @@ double GaussianProcessRegressor::compute_posterior_unchecked() {
   // A rebuilt factor shares no rows with the old one, so any cached
   // candidate panel is stale (DESIGN.md §13 invalidation rule 1).
   panel_valid_ = false;
-  gram_ = kernel_->gram_cached(*train_dist_);
+  gram_ = kernel_.gram_cached(*train_dist_);
   auto [factor, jitter] = linalg::cholesky_with_jitter(
       gram_, options_.initial_jitter, options_.max_jitter);
   factor_ = std::move(factor);
@@ -157,7 +114,7 @@ double GaussianProcessRegressor::compute_posterior_unchecked() {
   const std::size_t n = x_train_.rows();
   lml_ = -0.5 * linalg::dot(y_train_, alpha_) - 0.5 * factor_->log_det() -
          0.5 * static_cast<double>(n) * kLogTwoPi;
-  last_good_params_ = kernel_->log_params();
+  last_good_params_ = kernel_.log_params();
   return lml_;
 }
 
@@ -171,11 +128,11 @@ double GaussianProcessRegressor::compute_posterior() {
     // valid posterior and rebuild there. Rethrow when there is no previous
     // theta (first fit) or it IS the failing theta.
     if (last_good_params_.empty() ||
-        last_good_params_ == kernel_->log_params()) {
+        last_good_params_ == kernel_.log_params()) {
       throw;
     }
     core::trace::count("gpr.posterior_recover");
-    kernel_->set_log_params(last_good_params_);
+    kernel_.set_log_params(last_good_params_);
     return compute_posterior_unchecked();
   }
 }
@@ -204,8 +161,8 @@ void GaussianProcessRegressor::optimize_hyperparameters(stats::Rng& rng) {
   ms.restarts = options_.restarts;
   ms.lbfgs.max_iterations = options_.max_opt_iterations;
 
-  const std::vector<double> start = kernel_->log_params();
-  opt::Bounds bounds = kernel_->log_bounds();
+  const std::vector<double> start = kernel_.log_params();
+  opt::Bounds bounds = kernel_.log_bounds();
   // Keep the warm start feasible even if an earlier fit pushed a
   // parameter onto (or numerically past) its bound.
   std::vector<double> feasible_start = start;
@@ -279,7 +236,7 @@ void GaussianProcessRegressor::optimize_hyperparameters(stats::Rng& rng) {
     core::trace::count("gpr.opt_keep_previous");
     return;  // kernel_ still holds the pre-optimization hyperparameters
   }
-  kernel_->set_log_params(*winner);
+  kernel_.set_log_params(*winner);
 }
 
 void GaussianProcessRegressor::fit(const Matrix& x, std::span<const double> y,
@@ -301,11 +258,11 @@ void GaussianProcessRegressor::fit(const Matrix& x, std::span<const double> y,
   // recomputed (O(n^2 d) FLOPs); the bits are identical either way.
   train_dist_ = base != nullptr ? PairwiseDistances::train_from_base(*base, rows)
                                 : PairwiseDistances::train(x_train_);
-  kernel_->prepare_distances(*train_dist_);
+  kernel_.prepare_distances(*train_dist_);
   y_raw_.assign(y.begin(), y.end());
   recenter_targets();
 
-  if (options_.optimize && kernel_->num_params() > 0 && x.rows() >= 2) {
+  if (options_.optimize && kernel_.num_params() > 0 && x.rows() >= 2) {
     optimize_hyperparameters(rng);
   }
 
@@ -337,9 +294,9 @@ void GaussianProcessRegressor::update_posterior_incremental() {
 
   // n new kernel evaluations instead of the full n^2 gram rebuild. cross()
   // produces the same bits gram() would for these entries; the diagonal
-  // entry comes from diagonal() so noise terms (White) are included.
-  const Matrix k_new = kernel_->cross(x_train_, x_new);  // (n+1) x 1
-  const double k_diag = kernel_->diagonal(x_new)[0];
+  // entry comes from diagonal() so the noise term is included.
+  const Matrix k_new = kernel_.cross(x_train_, x_new);  // (n+1) x 1
+  const double k_diag = kernel_.diagonal(x_new)[0];
 
   gram_.grow(n + 1, n + 1);  // in place; allocation-free within reserve
   for (std::size_t i = 0; i < n; ++i) gram_(i, n) = k_new(i, 0);
@@ -374,7 +331,7 @@ void GaussianProcessRegressor::update_posterior_incremental() {
   const std::size_t m = x_train_.rows();
   lml_ = -0.5 * linalg::dot(y_train_, alpha_) - 0.5 * factor_->log_det() -
          0.5 * static_cast<double>(m) * kLogTwoPi;
-  last_good_params_ = kernel_->log_params();
+  last_good_params_ = kernel_.log_params();
 }
 
 void GaussianProcessRegressor::add_point(std::span<const double> x, double y) {
@@ -387,17 +344,17 @@ bool GaussianProcessRegressor::fit_add_point(std::span<const double> x, double y
                                              stats::Rng& rng) {
   if (!fitted()) throw std::logic_error("GPR::fit_add_point before fit");
 
-  const std::vector<double> params_before = kernel_->log_params();
+  const std::vector<double> params_before = kernel_.log_params();
   append_training_point(x, y);
 
   bool params_changed = false;
-  if (options_.optimize && kernel_->num_params() > 0 && x_train_.rows() >= 2) {
+  if (options_.optimize && kernel_.num_params() > 0 && x_train_.rows() >= 2) {
     // Run the warm-started optimization exactly as fit() on the
     // concatenated data would (same rng stream, same starts). Converged
     // warm restarts return the start point bit-for-bit, so an exact
     // comparison detects "parameters unchanged".
     optimize_hyperparameters(rng);
-    params_changed = kernel_->log_params() != params_before;
+    params_changed = kernel_.log_params() != params_before;
   }
 
   if (params_changed) {
@@ -414,14 +371,14 @@ Prediction GaussianProcessRegressor::predict(const Matrix& x) const {
   if (x.cols() != x_train_.cols()) {
     throw std::invalid_argument("GPR::predict: dimension mismatch");
   }
-  const Matrix k_star = kernel_->cross(x_train_, x);
+  const Matrix k_star = kernel_.cross(x_train_, x);
   const std::size_t n = x_train_.rows();
   Prediction out;
   out.mean = linalg::matvec_transposed(k_star, alpha_);
   for (double& m : out.mean) m += y_mean_;
 
   out.stddev.resize(x.rows());
-  const std::vector<double> prior_diag = kernel_->diagonal(x);
+  const std::vector<double> prior_diag = kernel_.diagonal(x);
   // sigma^2 = k** - k*^T K_y^{-1} k* via Z = L^{-1} K*; sigma^2_q = k** -
   // |z_q|^2. One heap scratch for Z; the shared sweep zero-inits the
   // accumulators in the stddev slots, so per scalar this performs exactly
@@ -560,7 +517,7 @@ std::vector<double> GaussianProcessRegressor::predict_mean(const Matrix& x) cons
   if (x.cols() != x_train_.cols()) {
     throw std::invalid_argument("GPR::predict_mean: dimension mismatch");
   }
-  const Matrix k_star = kernel_->cross(x_train_, x);
+  const Matrix k_star = kernel_.cross(x_train_, x);
   std::vector<double> mean = linalg::matvec_transposed(k_star, alpha_);
   for (double& m : mean) m += y_mean_;
   return mean;

@@ -1,1206 +1,379 @@
 #include "alamr/gp/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace alamr::gp {
 
 namespace {
 
-void check_param_count(std::span<const double> theta, std::size_t expected,
-                       const char* who) {
-  if (theta.size() != expected) {
-    throw std::invalid_argument(std::string(who) + ": wrong parameter count");
-  }
-}
+using Profile = Kernel::Profile;
 
-double checked_positive(double v, const char* who) {
+constexpr double kAmplitudeLower = 1e-5;
+constexpr double kAmplitudeUpper = 1e5;
+constexpr double kLengthLower = 1e-3;
+constexpr double kLengthUpper = 1e3;
+constexpr double kNoiseLower = 1e-10;
+constexpr double kNoiseUpper = 1e2;
+
+double checked_positive(double v) {
   if (!(v > 0.0) || !std::isfinite(v)) {
-    throw std::invalid_argument(std::string(who) + ": value must be positive");
+    throw std::invalid_argument("Kernel: hyperparameters must be positive");
   }
   return v;
 }
 
+// The squared distance of entry (i, j), or its per-dimension squared
+// differences (ARD), read from a cache or recomputed from feature rows.
+// The cache was built with exactly these expressions, so both sources
+// hand the per-entry formulas identical bits.
+struct CacheSource {
+  const PairwiseDistances& dist;
+  std::size_t rows() const noexcept { return dist.rows(); }
+  std::size_t cols() const noexcept { return dist.cols(); }
+  double r2(std::size_t i, std::size_t j) const noexcept {
+    return dist.squared()(i, j);
+  }
+  double component(std::size_t d, std::size_t i, std::size_t j) const {
+    return dist.component(d)(i, j);
+  }
+};
+
+struct RowSource {
+  const Matrix& x;
+  const Matrix& y;
+  std::size_t rows() const noexcept { return x.rows(); }
+  std::size_t cols() const noexcept { return y.rows(); }
+  double r2(std::size_t i, std::size_t j) const noexcept {
+    return linalg::squared_distance(x.row(i), y.row(j));
+  }
+  double component(std::size_t d, std::size_t i, std::size_t j) const noexcept {
+    const double diff = x(i, d) - y(j, d);
+    return diff * diff;
+  }
+};
+
+// Per-call constants of the unit profile f, hoisted out of the pair loops.
+struct Unit {
+  Unit(Profile profile, std::span<const double> lengths)
+      : length(lengths[0]),
+        inv_2l2(1.0 / (2.0 * length * length)),
+        inv_l2(1.0 / (length * length)) {
+    if (profile != Profile::kRbfArd) return;
+    inv_l2_dim.resize(lengths.size());
+    for (std::size_t d = 0; d < lengths.size(); ++d) {
+      inv_l2_dim[d] = 1.0 / (lengths[d] * lengths[d]);
+    }
+  }
+  double length;
+  double inv_2l2;                   // value path of the RBF
+  double inv_l2;                    // gradient path of the RBF
+  std::vector<double> inv_l2_dim;   // ARD, one per dimension
+};
+
+// Matérn value and d/d(log l) at squared distance r2 (dlogl may be null).
+template <Profile P>
+double matern(double r2, double length, double* dlogl) {
+  const double r = std::sqrt(r2);
+  if constexpr (P == Profile::kMatern32) {
+    // k = (1 + s) exp(-s), s = sqrt(3) r / l;  dk/d(log l) = s^2 exp(-s).
+    const double s = std::sqrt(3.0) * r / length;
+    const double e = std::exp(-s);
+    if (dlogl != nullptr) *dlogl = s * s * e;
+    return (1.0 + s) * e;
+  } else {
+    // k = (1 + s + s^2/3) exp(-s), s = sqrt(5) r / l;
+    // dk/d(log l) = s^2 (1 + s) / 3 * exp(-s).
+    const double s = std::sqrt(5.0) * r / length;
+    const double e = std::exp(-s);
+    if (dlogl != nullptr) *dlogl = s * s * (1.0 + s) / 3.0 * e;
+    return (1.0 + s + s * s / 3.0) * e;
+  }
+}
+
+// f at entry (i, j) on the value path (gram_cached, cross).
+template <Profile P, class Source>
+double unit_value(const Unit& u, const Source& src, std::size_t i,
+                  std::size_t j) {
+  if constexpr (P == Profile::kRbf) {
+    return std::exp(-src.r2(i, j) * u.inv_2l2);
+  } else if constexpr (P == Profile::kRbfArd) {
+    double q = 0.0;
+    for (std::size_t d = 0; d < u.inv_l2_dim.size(); ++d) {
+      q += src.component(d, i, j) * u.inv_l2_dim[d];
+    }
+    return std::exp(-0.5 * q);
+  } else {
+    return matern<P>(src.r2(i, j), u.length, nullptr);
+  }
+}
+
+// f at entry (i, j) on the gradient path, writing df/d(log l_d) to dl.
+// The RBF deliberately evaluates exp(-0.5 * r2 * inv_l2) here, not the
+// value path's exp(-r2 * inv_2l2): the two round differently, and each
+// path's bits are pinned.
+template <Profile P, class Source>
+double unit_gradient(const Unit& u, const Source& src, std::size_t i,
+                     std::size_t j, double* dl) {
+  if constexpr (P == Profile::kRbf) {
+    const double r2 = src.r2(i, j);
+    const double v = std::exp(-0.5 * r2 * u.inv_l2);
+    // d/d(log l) exp(-r2 / (2 l^2)) = v * r2 / l^2.
+    dl[0] = v * r2 * u.inv_l2;
+    return v;
+  } else if constexpr (P == Profile::kRbfArd) {
+    const std::size_t nd = u.inv_l2_dim.size();
+    double q = 0.0;
+    for (std::size_t d = 0; d < nd; ++d) {
+      dl[d] = src.component(d, i, j) * u.inv_l2_dim[d];
+      q += dl[d];
+    }
+    const double v = std::exp(-0.5 * q);
+    // d/d(log l_d) = v * (x_d - x'_d)^2 / l_d^2.
+    for (std::size_t d = 0; d < nd; ++d) dl[d] = v * dl[d];
+    return v;
+  } else {
+    return matern<P>(src.r2(i, j), u.length, dl);
+  }
+}
+
+// Calls fn with the profile as a compile-time constant, so the per-entry
+// formulas inline into the pair loops without a per-entry branch.
+template <class Fn>
+void with_profile(Profile profile, Fn&& fn) {
+  switch (profile) {
+    case Profile::kRbf:
+      return fn(std::integral_constant<Profile, Profile::kRbf>{});
+    case Profile::kRbfArd:
+      return fn(std::integral_constant<Profile, Profile::kRbfArd>{});
+    case Profile::kMatern32:
+      return fn(std::integral_constant<Profile, Profile::kMatern32>{});
+    case Profile::kMatern52:
+      return fn(std::integral_constant<Profile, Profile::kMatern52>{});
+  }
+  throw std::logic_error("Kernel: unknown profile");
+}
+
+void check_cache(const Kernel& kernel, const PairwiseDistances& dist) {
+  if (kernel.profile() != Profile::kRbfArd) return;
+  if (dist.dim() != kernel.length_scales().size()) {
+    throw std::invalid_argument("Kernel: ARD dimension mismatch");
+  }
+  if (!dist.has_components()) {
+    throw std::invalid_argument(
+        "Kernel: cache lacks per-dimension components; call "
+        "prepare_distances first");
+  }
+}
+
+// Copies the strict lower triangle onto the upper one, tile by tile so
+// both sides stay in cache. Pure data movement: every entry keeps its bits.
+void mirror_lower(Matrix& m) {
+  constexpr std::size_t kTile = 32;
+  const std::size_t n = m.rows();
+  for (std::size_t ib = 0; ib < n; ib += kTile) {
+    const std::size_t ie = std::min(ib + kTile, n);
+    for (std::size_t jb = 0; jb <= ib; jb += kTile) {
+      for (std::size_t i = ib; i < ie; ++i) {
+        const std::size_t je = std::min(jb + kTile, i);
+        for (std::size_t j = jb; j < je; ++j) m(j, i) = m(i, j);
+      }
+    }
+  }
+}
+
 }  // namespace
 
-// ---- Kernel: distance-cached defaults --------------------------------------
-//
-// Fallbacks for kernels without a bespoke cached path: evaluate directly on
-// the point sets the cache retains. Correct (and still bit-identical, since
-// it IS the direct path) but without the refit speedup; every built-in
-// kernel overrides these.
+Kernel::Kernel(Profile profile, double amplitude,
+               std::vector<double> length_scales, double noise)
+    : profile_(profile),
+      amplitude_(checked_positive(amplitude)),
+      lengths_(std::move(length_scales)),
+      noise_(checked_positive(noise)) {
+  if (lengths_.empty() ||
+      (profile_ != Profile::kRbfArd && lengths_.size() != 1)) {
+    throw std::invalid_argument(
+        "Kernel: need one length scale (one per dimension for ARD)");
+  }
+  for (const double l : lengths_) checked_positive(l);
+  with_profile(profile_, [](auto) {});  // rejects out-of-range profiles
+}
 
-void Kernel::prepare_distances(PairwiseDistances&) const {}
+std::vector<double> Kernel::log_params() const {
+  std::vector<double> theta;
+  theta.reserve(num_params());
+  theta.push_back(std::log(amplitude_));
+  for (const double l : lengths_) theta.push_back(std::log(l));
+  theta.push_back(std::log(noise_));
+  return theta;
+}
+
+void Kernel::set_log_params(std::span<const double> theta) {
+  if (theta.size() != num_params()) {
+    throw std::invalid_argument("Kernel: wrong parameter count");
+  }
+  amplitude_ = std::exp(theta[0]);
+  for (std::size_t d = 0; d < lengths_.size(); ++d) {
+    lengths_[d] = std::exp(theta[1 + d]);
+  }
+  noise_ = std::exp(theta.back());
+}
+
+opt::Bounds Kernel::log_bounds() const {
+  opt::Bounds b;
+  b.lower.assign(lengths_.size(), std::log(kLengthLower));
+  b.upper.assign(lengths_.size(), std::log(kLengthUpper));
+  b.lower.insert(b.lower.begin(), std::log(kAmplitudeLower));
+  b.upper.insert(b.upper.begin(), std::log(kAmplitudeUpper));
+  b.lower.push_back(std::log(kNoiseLower));
+  b.upper.push_back(std::log(kNoiseUpper));
+  return b;
+}
+
+void Kernel::prepare_distances(PairwiseDistances& dist) const {
+  if (profile_ == Profile::kRbfArd) dist.ensure_components();
+}
+
+// Amplitude and noise follow the composite c * f + s * [i == j]: off the
+// diagonal an entry is c * f (the noise term adds an exact +0.0 there and
+// is skipped); on the diagonal it is c * 1.0 + s, written as c + s.
 
 Matrix Kernel::gram_cached(const PairwiseDistances& dist) const {
-  return gram(dist.x());
+  check_cache(*this, dist);
+  const CacheSource src{dist};
+  const Unit u(profile_, lengths_);
+  const std::size_t n = dist.rows();
+  const double c = amplitude_;
+  Matrix k(n, n);
+  with_profile(profile_, [&](auto p) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto ki = k.row(i);
+      for (std::size_t j = 0; j < i; ++j) {
+        const double v = c * unit_value<decltype(p)::value>(u, src, i, j);
+        ki[j] = v;
+        k(j, i) = v;
+      }
+      ki[i] = c + noise_;
+    }
+  });
+  return k;
 }
 
 Matrix Kernel::gram_with_gradients_cached(const PairwiseDistances& dist,
                                           std::vector<Matrix>& gradients) const {
-  return gram_with_gradients(dist.x(), gradients);
+  check_cache(*this, dist);
+  const CacheSource src{dist};
+  const Unit u(profile_, lengths_);
+  const std::size_t n = dist.rows();
+  const std::size_t nl = lengths_.size();
+  const double c = amplitude_;
+  Matrix k(n, n);
+  gradients.assign(num_params(), Matrix());
+  for (std::size_t d = 0; d < nl; ++d) gradients[1 + d] = Matrix(n, n);
+  // The pair loop fills the lower triangles of K and of each
+  // dK/dlog l_d = c * df/dlog l_d (0 on the diagonal).
+  std::vector<double> dl(nl);
+  std::vector<double*> grad_rows(nl);
+  with_profile(profile_, [&](auto p) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto ki = k.row(i);
+      for (std::size_t d = 0; d < nl; ++d) {
+        grad_rows[d] = gradients[1 + d].row(i).data();
+      }
+      for (std::size_t j = 0; j < i; ++j) {
+        ki[j] =
+            c * unit_gradient<decltype(p)::value>(u, src, i, j, dl.data());
+        for (std::size_t d = 0; d < nl; ++d) grad_rows[d][j] = dl[d] * c;
+      }
+      ki[i] = c + noise_;
+    }
+  });
+  mirror_lower(k);
+  for (std::size_t d = 0; d < nl; ++d) mirror_lower(gradients[1 + d]);
+  // dK/dlog c = c * f: K off the diagonal, c on it. dK/dlog s = s on the
+  // diagonal, 0 elsewhere.
+  Matrix& dc = gradients.front();
+  dc = k;
+  Matrix& ds = gradients.back();
+  ds = Matrix(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    dc(i, i) = c;
+    ds(i, i) = noise_;
+  }
+  return k;
+}
+
+template <class Source>
+Matrix Kernel::cross_from(const Source& src) const {
+  const Unit u(profile_, lengths_);
+  const double c = amplitude_;
+  Matrix k(src.rows(), src.cols());
+  with_profile(profile_, [&](auto p) {
+    for (std::size_t i = 0; i < src.rows(); ++i) {
+      const auto ki = k.row(i);
+      for (std::size_t j = 0; j < src.cols(); ++j) {
+        ki[j] = c * unit_value<decltype(p)::value>(u, src, i, j);
+      }
+    }
+  });
+  return k;
 }
 
 Matrix Kernel::cross_cached(const PairwiseDistances& dist) const {
-  return cross(dist.x(), dist.y());
+  check_cache(*this, dist);
+  return cross_from(CacheSource{dist});
 }
 
-// ---- ConstantKernel --------------------------------------------------------
-
-ConstantKernel::ConstantKernel(double value, double lower, double upper)
-    : value_(checked_positive(value, "ConstantKernel")),
-      lower_(checked_positive(lower, "ConstantKernel")),
-      upper_(checked_positive(upper, "ConstantKernel")) {}
-
-std::vector<double> ConstantKernel::log_params() const {
-  return {std::log(value_)};
+Matrix Kernel::cross(const Matrix& x, const Matrix& y) const {
+  if (x.cols() != y.cols() ||
+      (profile_ == Profile::kRbfArd && x.cols() != lengths_.size())) {
+    throw std::invalid_argument("Kernel::cross: dimension mismatch");
+  }
+  return cross_from(RowSource{x, y});
 }
 
-void ConstantKernel::set_log_params(std::span<const double> theta) {
-  check_param_count(theta, 1, "ConstantKernel");
-  value_ = std::exp(theta[0]);
+std::vector<double> Kernel::diagonal(const Matrix& x) const {
+  return std::vector<double>(x.rows(), amplitude_ + noise_);
 }
 
-opt::Bounds ConstantKernel::log_bounds() const {
-  return {{std::log(lower_)}, {std::log(upper_)}};
-}
-
-Matrix ConstantKernel::gram(const Matrix& x) const {
-  return Matrix(x.rows(), x.rows(), value_);
-}
-
-Matrix ConstantKernel::gram_with_gradients(const Matrix& x,
-                                           std::vector<Matrix>& gradients) const {
-  gradients.clear();
-  // d(c)/d(log c) = c everywhere.
-  gradients.emplace_back(x.rows(), x.rows(), value_);
-  return gram(x);
-}
-
-Matrix ConstantKernel::cross(const Matrix& x, const Matrix& y) const {
-  return Matrix(x.rows(), y.rows(), value_);
-}
-
-Matrix ConstantKernel::gram_cached(const PairwiseDistances& dist) const {
-  return Matrix(dist.rows(), dist.rows(), value_);
-}
-
-Matrix ConstantKernel::gram_with_gradients_cached(
-    const PairwiseDistances& dist, std::vector<Matrix>& gradients) const {
-  gradients.clear();
-  gradients.emplace_back(dist.rows(), dist.rows(), value_);
-  return Matrix(dist.rows(), dist.rows(), value_);
-}
-
-Matrix ConstantKernel::cross_cached(const PairwiseDistances& dist) const {
-  return Matrix(dist.rows(), dist.cols(), value_);
-}
-
-std::vector<double> ConstantKernel::diagonal(const Matrix& x) const {
-  return std::vector<double>(x.rows(), value_);
-}
-
-std::unique_ptr<Kernel> ConstantKernel::clone() const {
-  return std::make_unique<ConstantKernel>(*this);
-}
-
-std::string ConstantKernel::describe() const {
+std::string Kernel::describe() const {
   std::ostringstream os;
-  os << "Constant(" << value_ << ")";
-  return os.str();
-}
-
-// ---- WhiteKernel -----------------------------------------------------------
-
-WhiteKernel::WhiteKernel(double noise, double lower, double upper)
-    : noise_(checked_positive(noise, "WhiteKernel")),
-      lower_(checked_positive(lower, "WhiteKernel")),
-      upper_(checked_positive(upper, "WhiteKernel")) {}
-
-std::vector<double> WhiteKernel::log_params() const { return {std::log(noise_)}; }
-
-void WhiteKernel::set_log_params(std::span<const double> theta) {
-  check_param_count(theta, 1, "WhiteKernel");
-  noise_ = std::exp(theta[0]);
-}
-
-opt::Bounds WhiteKernel::log_bounds() const {
-  return {{std::log(lower_)}, {std::log(upper_)}};
-}
-
-Matrix WhiteKernel::gram(const Matrix& x) const {
-  Matrix k(x.rows(), x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) k(i, i) = noise_;
-  return k;
-}
-
-Matrix WhiteKernel::gram_with_gradients(const Matrix& x,
-                                        std::vector<Matrix>& gradients) const {
-  gradients.clear();
-  Matrix g(x.rows(), x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) g(i, i) = noise_;
-  gradients.push_back(g);
-  return g;
-}
-
-Matrix WhiteKernel::cross(const Matrix& x, const Matrix& y) const {
-  return Matrix(x.rows(), y.rows(), 0.0);
-}
-
-Matrix WhiteKernel::gram_cached(const PairwiseDistances& dist) const {
-  Matrix k(dist.rows(), dist.rows());
-  for (std::size_t i = 0; i < dist.rows(); ++i) k(i, i) = noise_;
-  return k;
-}
-
-Matrix WhiteKernel::gram_with_gradients_cached(
-    const PairwiseDistances& dist, std::vector<Matrix>& gradients) const {
-  gradients.clear();
-  Matrix g(dist.rows(), dist.rows());
-  for (std::size_t i = 0; i < dist.rows(); ++i) g(i, i) = noise_;
-  gradients.push_back(g);
-  return g;
-}
-
-Matrix WhiteKernel::cross_cached(const PairwiseDistances& dist) const {
-  return Matrix(dist.rows(), dist.cols(), 0.0);
-}
-
-std::vector<double> WhiteKernel::diagonal(const Matrix& x) const {
-  return std::vector<double>(x.rows(), noise_);
-}
-
-std::unique_ptr<Kernel> WhiteKernel::clone() const {
-  return std::make_unique<WhiteKernel>(*this);
-}
-
-std::string WhiteKernel::describe() const {
-  std::ostringstream os;
-  os << "White(" << noise_ << ")";
-  return os.str();
-}
-
-// ---- RbfKernel -------------------------------------------------------------
-
-RbfKernel::RbfKernel(double length_scale, double lower, double upper)
-    : length_(checked_positive(length_scale, "RbfKernel")),
-      lower_(checked_positive(lower, "RbfKernel")),
-      upper_(checked_positive(upper, "RbfKernel")) {}
-
-std::vector<double> RbfKernel::log_params() const { return {std::log(length_)}; }
-
-void RbfKernel::set_log_params(std::span<const double> theta) {
-  check_param_count(theta, 1, "RbfKernel");
-  length_ = std::exp(theta[0]);
-}
-
-opt::Bounds RbfKernel::log_bounds() const {
-  return {{std::log(lower_)}, {std::log(upper_)}};
-}
-
-Matrix RbfKernel::gram(const Matrix& x) const {
-  const double inv_2l2 = 1.0 / (2.0 * length_ * length_);
-  Matrix k(x.rows(), x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    k(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      const double v = std::exp(-linalg::squared_distance(x.row(i), x.row(j)) * inv_2l2);
-      k(i, j) = v;
-      k(j, i) = v;
-    }
-  }
-  return k;
-}
-
-Matrix RbfKernel::gram_with_gradients(const Matrix& x,
-                                      std::vector<Matrix>& gradients) const {
-  const double inv_l2 = 1.0 / (length_ * length_);
-  Matrix k(x.rows(), x.rows());
-  Matrix g(x.rows(), x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    k(i, i) = 1.0;
-    g(i, i) = 0.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      const double r2 = linalg::squared_distance(x.row(i), x.row(j));
-      const double v = std::exp(-0.5 * r2 * inv_l2);
-      // d/d(log l) exp(-r2 / (2 l^2)) = v * r2 / l^2.
-      const double dv = v * r2 * inv_l2;
-      k(i, j) = v;
-      k(j, i) = v;
-      g(i, j) = dv;
-      g(j, i) = dv;
-    }
-  }
-  gradients.clear();
-  gradients.push_back(std::move(g));
-  return k;
-}
-
-Matrix RbfKernel::cross(const Matrix& x, const Matrix& y) const {
-  if (x.cols() != y.cols()) throw std::invalid_argument("RbfKernel::cross: dim mismatch");
-  const double inv_2l2 = 1.0 / (2.0 * length_ * length_);
-  Matrix k(x.rows(), y.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    for (std::size_t j = 0; j < y.rows(); ++j) {
-      k(i, j) = std::exp(-linalg::squared_distance(x.row(i), y.row(j)) * inv_2l2);
-    }
-  }
-  return k;
-}
-
-// The cached variants replay the exact per-entry expressions of the direct
-// paths above on the cached squared distances: gram/cross use
-// (-r2) * inv_2l2, gram_with_gradients uses -0.5 * r2 * inv_l2 — the two
-// direct paths deliberately differ and the cached ones match each op for
-// op, so results are bit-identical either way.
-
-Matrix RbfKernel::gram_cached(const PairwiseDistances& dist) const {
-  const double inv_2l2 = 1.0 / (2.0 * length_ * length_);
-  const Matrix& r2 = dist.squared();
-  const std::size_t n = dist.rows();
-  Matrix k(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = 1.0;
-    const auto r2i = r2.row(i);
-    for (std::size_t j = 0; j < i; ++j) {
-      const double v = std::exp(-r2i[j] * inv_2l2);
-      k(i, j) = v;
-      k(j, i) = v;
-    }
-  }
-  return k;
-}
-
-Matrix RbfKernel::gram_with_gradients_cached(
-    const PairwiseDistances& dist, std::vector<Matrix>& gradients) const {
-  const double inv_l2 = 1.0 / (length_ * length_);
-  const Matrix& r2 = dist.squared();
-  const std::size_t n = dist.rows();
-  Matrix k(n, n);
-  Matrix g(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = 1.0;
-    g(i, i) = 0.0;
-    const auto r2i = r2.row(i);
-    for (std::size_t j = 0; j < i; ++j) {
-      const double v = std::exp(-0.5 * r2i[j] * inv_l2);
-      const double dv = v * r2i[j] * inv_l2;
-      k(i, j) = v;
-      k(j, i) = v;
-      g(i, j) = dv;
-      g(j, i) = dv;
-    }
-  }
-  gradients.clear();
-  gradients.push_back(std::move(g));
-  return k;
-}
-
-Matrix RbfKernel::cross_cached(const PairwiseDistances& dist) const {
-  const double inv_2l2 = 1.0 / (2.0 * length_ * length_);
-  const Matrix& r2 = dist.squared();
-  Matrix k(dist.rows(), dist.cols());
-  for (std::size_t i = 0; i < dist.rows(); ++i) {
-    const auto r2i = r2.row(i);
-    const auto ki = k.row(i);
-    for (std::size_t j = 0; j < dist.cols(); ++j) {
-      ki[j] = std::exp(-r2i[j] * inv_2l2);
-    }
-  }
-  return k;
-}
-
-std::vector<double> RbfKernel::diagonal(const Matrix& x) const {
-  return std::vector<double>(x.rows(), 1.0);
-}
-
-std::unique_ptr<Kernel> RbfKernel::clone() const {
-  return std::make_unique<RbfKernel>(*this);
-}
-
-std::string RbfKernel::describe() const {
-  std::ostringstream os;
-  os << "RBF(l=" << length_ << ")";
-  return os.str();
-}
-
-// ---- RbfArdKernel ----------------------------------------------------------
-
-RbfArdKernel::RbfArdKernel(std::vector<double> length_scales, double lower,
-                           double upper)
-    : lengths_(std::move(length_scales)),
-      lower_(checked_positive(lower, "RbfArdKernel")),
-      upper_(checked_positive(upper, "RbfArdKernel")) {
-  if (lengths_.empty()) {
-    throw std::invalid_argument("RbfArdKernel: need at least one length scale");
-  }
-  for (const double l : lengths_) checked_positive(l, "RbfArdKernel");
-}
-
-std::vector<double> RbfArdKernel::log_params() const {
-  std::vector<double> theta(lengths_.size());
-  for (std::size_t i = 0; i < lengths_.size(); ++i) theta[i] = std::log(lengths_[i]);
-  return theta;
-}
-
-void RbfArdKernel::set_log_params(std::span<const double> theta) {
-  check_param_count(theta, lengths_.size(), "RbfArdKernel");
-  for (std::size_t i = 0; i < lengths_.size(); ++i) lengths_[i] = std::exp(theta[i]);
-}
-
-opt::Bounds RbfArdKernel::log_bounds() const {
-  return {std::vector<double>(lengths_.size(), std::log(lower_)),
-          std::vector<double>(lengths_.size(), std::log(upper_))};
-}
-
-namespace {
-
-// Reciprocal squared length scales, hoisted out of the pair loops. Both the
-// direct and the cached ARD paths accumulate q += (diff * diff) * inv_l2[d]
-// — the same expression shape — so they agree bit for bit.
-std::vector<double> inverse_squared(std::span<const double> lengths) {
-  std::vector<double> inv_l2(lengths.size());
-  for (std::size_t d = 0; d < lengths.size(); ++d) {
-    inv_l2[d] = 1.0 / (lengths[d] * lengths[d]);
-  }
-  return inv_l2;
-}
-
-}  // namespace
-
-Matrix RbfArdKernel::gram(const Matrix& x) const {
-  if (x.cols() != lengths_.size()) {
-    throw std::invalid_argument("RbfArdKernel: dimension mismatch");
-  }
-  const std::vector<double> inv_l2 = inverse_squared(lengths_);
-  Matrix k(x.rows(), x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    k(i, i) = 1.0;
-    const auto xi = x.row(i);
-    for (std::size_t j = 0; j < i; ++j) {
-      const auto xj = x.row(j);
-      double q = 0.0;
+  os << "(Constant(" << amplitude_ << ")) * (";
+  switch (profile_) {
+    case Profile::kRbf:
+      os << "RBF(l=" << lengths_[0] << ")";
+      break;
+    case Profile::kRbfArd:
+      os << "RBF_ARD(l=[";
       for (std::size_t d = 0; d < lengths_.size(); ++d) {
-        const double diff = xi[d] - xj[d];
-        q += (diff * diff) * inv_l2[d];
+        if (d > 0) os << ", ";
+        os << lengths_[d];
       }
-      const double v = std::exp(-0.5 * q);
-      k(i, j) = v;
-      k(j, i) = v;
-    }
+      os << "])";
+      break;
+    case Profile::kMatern32:
+      os << "Matern(nu=3/2, l=" << lengths_[0] << ")";
+      break;
+    case Profile::kMatern52:
+      os << "Matern(nu=5/2, l=" << lengths_[0] << ")";
+      break;
   }
-  return k;
-}
-
-Matrix RbfArdKernel::gram_with_gradients(const Matrix& x,
-                                         std::vector<Matrix>& gradients) const {
-  if (x.cols() != lengths_.size()) {
-    throw std::invalid_argument("RbfArdKernel: dimension mismatch");
-  }
-  const std::size_t n = x.rows();
-  const std::size_t d = lengths_.size();
-  const std::vector<double> inv_l2 = inverse_squared(lengths_);
-  Matrix k(n, n);
-  gradients.assign(d, Matrix(n, n));
-  std::vector<double> z2(d);
-  for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = 1.0;
-    const auto xi = x.row(i);
-    for (std::size_t j = 0; j < i; ++j) {
-      const auto xj = x.row(j);
-      double q = 0.0;
-      for (std::size_t dim = 0; dim < d; ++dim) {
-        const double diff = xi[dim] - xj[dim];
-        z2[dim] = (diff * diff) * inv_l2[dim];
-        q += z2[dim];
-      }
-      const double v = std::exp(-0.5 * q);
-      k(i, j) = v;
-      k(j, i) = v;
-      for (std::size_t dim = 0; dim < d; ++dim) {
-        // d/d(log l_dim) = v * (x_dim - x'_dim)^2 / l_dim^2.
-        const double g = v * z2[dim];
-        gradients[dim](i, j) = g;
-        gradients[dim](j, i) = g;
-      }
-    }
-  }
-  return k;
-}
-
-Matrix RbfArdKernel::cross(const Matrix& x, const Matrix& y) const {
-  if (x.cols() != lengths_.size() || y.cols() != lengths_.size()) {
-    throw std::invalid_argument("RbfArdKernel::cross: dimension mismatch");
-  }
-  const std::vector<double> inv_l2 = inverse_squared(lengths_);
-  Matrix k(x.rows(), y.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const auto xi = x.row(i);
-    for (std::size_t j = 0; j < y.rows(); ++j) {
-      const auto yj = y.row(j);
-      double q = 0.0;
-      for (std::size_t dim = 0; dim < lengths_.size(); ++dim) {
-        const double diff = xi[dim] - yj[dim];
-        q += (diff * diff) * inv_l2[dim];
-      }
-      k(i, j) = std::exp(-0.5 * q);
-    }
-  }
-  return k;
-}
-
-void RbfArdKernel::prepare_distances(PairwiseDistances& dist) const {
-  dist.ensure_components();
-}
-
-Matrix RbfArdKernel::gram_cached(const PairwiseDistances& dist) const {
-  if (dist.dim() != lengths_.size()) {
-    throw std::invalid_argument("RbfArdKernel: dimension mismatch");
-  }
-  if (!dist.has_components()) {
-    throw std::invalid_argument(
-        "RbfArdKernel: cache lacks per-dimension components; call "
-        "prepare_distances first");
-  }
-  const std::size_t n = dist.rows();
-  const std::size_t d = lengths_.size();
-  const std::vector<double> inv_l2 = inverse_squared(lengths_);
-  Matrix k(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      double q = 0.0;
-      for (std::size_t dim = 0; dim < d; ++dim) {
-        q += dist.component(dim)(i, j) * inv_l2[dim];
-      }
-      const double v = std::exp(-0.5 * q);
-      k(i, j) = v;
-      k(j, i) = v;
-    }
-  }
-  return k;
-}
-
-Matrix RbfArdKernel::gram_with_gradients_cached(
-    const PairwiseDistances& dist, std::vector<Matrix>& gradients) const {
-  if (dist.dim() != lengths_.size()) {
-    throw std::invalid_argument("RbfArdKernel: dimension mismatch");
-  }
-  if (!dist.has_components()) {
-    throw std::invalid_argument(
-        "RbfArdKernel: cache lacks per-dimension components; call "
-        "prepare_distances first");
-  }
-  const std::size_t n = dist.rows();
-  const std::size_t d = lengths_.size();
-  const std::vector<double> inv_l2 = inverse_squared(lengths_);
-  Matrix k(n, n);
-  gradients.assign(d, Matrix(n, n));
-  std::vector<double> z2(d);
-  for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      double q = 0.0;
-      for (std::size_t dim = 0; dim < d; ++dim) {
-        z2[dim] = dist.component(dim)(i, j) * inv_l2[dim];
-        q += z2[dim];
-      }
-      const double v = std::exp(-0.5 * q);
-      k(i, j) = v;
-      k(j, i) = v;
-      for (std::size_t dim = 0; dim < d; ++dim) {
-        const double g = v * z2[dim];
-        gradients[dim](i, j) = g;
-        gradients[dim](j, i) = g;
-      }
-    }
-  }
-  return k;
-}
-
-Matrix RbfArdKernel::cross_cached(const PairwiseDistances& dist) const {
-  if (dist.dim() != lengths_.size()) {
-    throw std::invalid_argument("RbfArdKernel: dimension mismatch");
-  }
-  if (!dist.has_components()) {
-    throw std::invalid_argument(
-        "RbfArdKernel: cache lacks per-dimension components; call "
-        "prepare_distances first");
-  }
-  const std::size_t d = lengths_.size();
-  const std::vector<double> inv_l2 = inverse_squared(lengths_);
-  Matrix k(dist.rows(), dist.cols());
-  for (std::size_t i = 0; i < dist.rows(); ++i) {
-    for (std::size_t j = 0; j < dist.cols(); ++j) {
-      double q = 0.0;
-      for (std::size_t dim = 0; dim < d; ++dim) {
-        q += dist.component(dim)(i, j) * inv_l2[dim];
-      }
-      k(i, j) = std::exp(-0.5 * q);
-    }
-  }
-  return k;
-}
-
-std::vector<double> RbfArdKernel::diagonal(const Matrix& x) const {
-  return std::vector<double>(x.rows(), 1.0);
-}
-
-std::unique_ptr<Kernel> RbfArdKernel::clone() const {
-  return std::make_unique<RbfArdKernel>(*this);
-}
-
-std::string RbfArdKernel::describe() const {
-  std::ostringstream os;
-  os << "RBF_ARD(l=[";
-  for (std::size_t i = 0; i < lengths_.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << lengths_[i];
-  }
-  os << "])";
+  os << ") + White(" << noise_ << ")";
   return os.str();
 }
 
-// ---- MaternKernel ----------------------------------------------------------
-
-MaternKernel::MaternKernel(Nu nu, double length_scale, double lower, double upper)
-    : nu_(nu),
-      length_(checked_positive(length_scale, "MaternKernel")),
-      lower_(checked_positive(lower, "MaternKernel")),
-      upper_(checked_positive(upper, "MaternKernel")) {}
-
-std::vector<double> MaternKernel::log_params() const {
-  return {std::log(length_)};
+Kernel make_paper_kernel(double amplitude, double length_scale, double noise) {
+  return make_kernel(Kernel::Profile::kRbf, 1, amplitude, length_scale, noise);
 }
 
-void MaternKernel::set_log_params(std::span<const double> theta) {
-  check_param_count(theta, 1, "MaternKernel");
-  length_ = std::exp(theta[0]);
-}
-
-opt::Bounds MaternKernel::log_bounds() const {
-  return {{std::log(lower_)}, {std::log(upper_)}};
-}
-
-void MaternKernel::eval(double r2, double& value, double& dlogl) const {
-  const double r = std::sqrt(r2);
-  switch (nu_) {
-    case Nu::kHalf: {
-      // k = exp(-r/l);  dk/d(log l) = k * r / l.
-      const double s = r / length_;
-      value = std::exp(-s);
-      dlogl = value * s;
-      return;
-    }
-    case Nu::kThreeHalves: {
-      // k = (1 + s) exp(-s), s = sqrt(3) r / l;  dk/d(log l) = s^2 exp(-s).
-      const double s = std::sqrt(3.0) * r / length_;
-      const double e = std::exp(-s);
-      value = (1.0 + s) * e;
-      dlogl = s * s * e;
-      return;
-    }
-    case Nu::kFiveHalves: {
-      // k = (1 + s + s^2/3) exp(-s), s = sqrt(5) r / l;
-      // dk/d(log l) = s^2 (1 + s) / 3 * exp(-s).
-      const double s = std::sqrt(5.0) * r / length_;
-      const double e = std::exp(-s);
-      value = (1.0 + s + s * s / 3.0) * e;
-      dlogl = s * s * (1.0 + s) / 3.0 * e;
-      return;
-    }
-  }
-  value = 0.0;
-  dlogl = 0.0;
-}
-
-Matrix MaternKernel::gram(const Matrix& x) const {
-  Matrix k(x.rows(), x.rows());
-  double v = 0.0;
-  double dv = 0.0;
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    k(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      eval(linalg::squared_distance(x.row(i), x.row(j)), v, dv);
-      k(i, j) = v;
-      k(j, i) = v;
-    }
-  }
-  return k;
-}
-
-Matrix MaternKernel::gram_with_gradients(const Matrix& x,
-                                         std::vector<Matrix>& gradients) const {
-  Matrix k(x.rows(), x.rows());
-  Matrix g(x.rows(), x.rows());
-  double v = 0.0;
-  double dv = 0.0;
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    k(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      eval(linalg::squared_distance(x.row(i), x.row(j)), v, dv);
-      k(i, j) = v;
-      k(j, i) = v;
-      g(i, j) = dv;
-      g(j, i) = dv;
-    }
-  }
-  gradients.clear();
-  gradients.push_back(std::move(g));
-  return k;
-}
-
-Matrix MaternKernel::cross(const Matrix& x, const Matrix& y) const {
-  if (x.cols() != y.cols()) {
-    throw std::invalid_argument("MaternKernel::cross: dim mismatch");
-  }
-  Matrix k(x.rows(), y.rows());
-  double v = 0.0;
-  double dv = 0.0;
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    for (std::size_t j = 0; j < y.rows(); ++j) {
-      eval(linalg::squared_distance(x.row(i), y.row(j)), v, dv);
-      k(i, j) = v;
-    }
-  }
-  return k;
-}
-
-Matrix MaternKernel::gram_cached(const PairwiseDistances& dist) const {
-  const Matrix& r2 = dist.squared();
-  const std::size_t n = dist.rows();
-  Matrix k(n, n);
-  double v = 0.0;
-  double dv = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      eval(r2(i, j), v, dv);
-      k(i, j) = v;
-      k(j, i) = v;
-    }
-  }
-  return k;
-}
-
-Matrix MaternKernel::gram_with_gradients_cached(
-    const PairwiseDistances& dist, std::vector<Matrix>& gradients) const {
-  const Matrix& r2 = dist.squared();
-  const std::size_t n = dist.rows();
-  Matrix k(n, n);
-  Matrix g(n, n);
-  double v = 0.0;
-  double dv = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      eval(r2(i, j), v, dv);
-      k(i, j) = v;
-      k(j, i) = v;
-      g(i, j) = dv;
-      g(j, i) = dv;
-    }
-  }
-  gradients.clear();
-  gradients.push_back(std::move(g));
-  return k;
-}
-
-Matrix MaternKernel::cross_cached(const PairwiseDistances& dist) const {
-  const Matrix& r2 = dist.squared();
-  Matrix k(dist.rows(), dist.cols());
-  double v = 0.0;
-  double dv = 0.0;
-  for (std::size_t i = 0; i < dist.rows(); ++i) {
-    for (std::size_t j = 0; j < dist.cols(); ++j) {
-      eval(r2(i, j), v, dv);
-      k(i, j) = v;
-    }
-  }
-  return k;
-}
-
-std::vector<double> MaternKernel::diagonal(const Matrix& x) const {
-  return std::vector<double>(x.rows(), 1.0);
-}
-
-std::unique_ptr<Kernel> MaternKernel::clone() const {
-  return std::make_unique<MaternKernel>(*this);
-}
-
-std::string MaternKernel::describe() const {
-  std::ostringstream os;
-  const char* nu = nu_ == Nu::kHalf          ? "1/2"
-                   : nu_ == Nu::kThreeHalves ? "3/2"
-                                             : "5/2";
-  os << "Matern(nu=" << nu << ", l=" << length_ << ")";
-  return os.str();
-}
-
-// ---- RationalQuadraticKernel -------------------------------------------------
-
-RationalQuadraticKernel::RationalQuadraticKernel(double length_scale,
-                                                 double alpha, double lower,
-                                                 double upper)
-    : length_(checked_positive(length_scale, "RationalQuadraticKernel")),
-      alpha_(checked_positive(alpha, "RationalQuadraticKernel")),
-      lower_(checked_positive(lower, "RationalQuadraticKernel")),
-      upper_(checked_positive(upper, "RationalQuadraticKernel")) {}
-
-std::vector<double> RationalQuadraticKernel::log_params() const {
-  return {std::log(length_), std::log(alpha_)};
-}
-
-void RationalQuadraticKernel::set_log_params(std::span<const double> theta) {
-  check_param_count(theta, 2, "RationalQuadraticKernel");
-  length_ = std::exp(theta[0]);
-  alpha_ = std::exp(theta[1]);
-}
-
-opt::Bounds RationalQuadraticKernel::log_bounds() const {
-  return {{std::log(lower_), std::log(1e-2)}, {std::log(upper_), std::log(1e3)}};
-}
-
-void RationalQuadraticKernel::eval(double r2, double& value, double& dlogl,
-                                   double& dlogalpha) const {
-  const double q = r2 / (2.0 * alpha_ * length_ * length_);
-  const double base = 1.0 + q;
-  value = std::pow(base, -alpha_);
-  // d/d(log l): q scales as l^-2, so dq/d(log l) = -2q.
-  dlogl = 2.0 * alpha_ * q * std::pow(base, -alpha_ - 1.0);
-  // d/d(log alpha) = alpha * k * (q/(1+q) - log(1+q)).
-  dlogalpha = alpha_ * value * (q / base - std::log(base));
-}
-
-Matrix RationalQuadraticKernel::gram(const Matrix& x) const {
-  Matrix k(x.rows(), x.rows());
-  double v = 0.0;
-  double dl = 0.0;
-  double da = 0.0;
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    k(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      eval(linalg::squared_distance(x.row(i), x.row(j)), v, dl, da);
-      k(i, j) = v;
-      k(j, i) = v;
-    }
-  }
-  return k;
-}
-
-Matrix RationalQuadraticKernel::gram_with_gradients(
-    const Matrix& x, std::vector<Matrix>& gradients) const {
-  const std::size_t n = x.rows();
-  Matrix k(n, n);
-  gradients.assign(2, Matrix(n, n));
-  double v = 0.0;
-  double dl = 0.0;
-  double da = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      eval(linalg::squared_distance(x.row(i), x.row(j)), v, dl, da);
-      k(i, j) = v;
-      k(j, i) = v;
-      gradients[0](i, j) = dl;
-      gradients[0](j, i) = dl;
-      gradients[1](i, j) = da;
-      gradients[1](j, i) = da;
-    }
-  }
-  return k;
-}
-
-Matrix RationalQuadraticKernel::cross(const Matrix& x, const Matrix& y) const {
-  if (x.cols() != y.cols()) {
-    throw std::invalid_argument("RationalQuadraticKernel::cross: dim mismatch");
-  }
-  Matrix k(x.rows(), y.rows());
-  double v = 0.0;
-  double dl = 0.0;
-  double da = 0.0;
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    for (std::size_t j = 0; j < y.rows(); ++j) {
-      eval(linalg::squared_distance(x.row(i), y.row(j)), v, dl, da);
-      k(i, j) = v;
-    }
-  }
-  return k;
-}
-
-Matrix RationalQuadraticKernel::gram_cached(const PairwiseDistances& dist) const {
-  const Matrix& r2 = dist.squared();
-  const std::size_t n = dist.rows();
-  Matrix k(n, n);
-  double v = 0.0;
-  double dl = 0.0;
-  double da = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      eval(r2(i, j), v, dl, da);
-      k(i, j) = v;
-      k(j, i) = v;
-    }
-  }
-  return k;
-}
-
-Matrix RationalQuadraticKernel::gram_with_gradients_cached(
-    const PairwiseDistances& dist, std::vector<Matrix>& gradients) const {
-  const Matrix& r2 = dist.squared();
-  const std::size_t n = dist.rows();
-  Matrix k(n, n);
-  gradients.assign(2, Matrix(n, n));
-  double v = 0.0;
-  double dl = 0.0;
-  double da = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      eval(r2(i, j), v, dl, da);
-      k(i, j) = v;
-      k(j, i) = v;
-      gradients[0](i, j) = dl;
-      gradients[0](j, i) = dl;
-      gradients[1](i, j) = da;
-      gradients[1](j, i) = da;
-    }
-  }
-  return k;
-}
-
-Matrix RationalQuadraticKernel::cross_cached(const PairwiseDistances& dist) const {
-  const Matrix& r2 = dist.squared();
-  Matrix k(dist.rows(), dist.cols());
-  double v = 0.0;
-  double dl = 0.0;
-  double da = 0.0;
-  for (std::size_t i = 0; i < dist.rows(); ++i) {
-    for (std::size_t j = 0; j < dist.cols(); ++j) {
-      eval(r2(i, j), v, dl, da);
-      k(i, j) = v;
-    }
-  }
-  return k;
-}
-
-std::vector<double> RationalQuadraticKernel::diagonal(const Matrix& x) const {
-  return std::vector<double>(x.rows(), 1.0);
-}
-
-std::unique_ptr<Kernel> RationalQuadraticKernel::clone() const {
-  return std::make_unique<RationalQuadraticKernel>(*this);
-}
-
-std::string RationalQuadraticKernel::describe() const {
-  std::ostringstream os;
-  os << "RQ(l=" << length_ << ", alpha=" << alpha_ << ")";
-  return os.str();
-}
-
-// ---- SumKernel -------------------------------------------------------------
-
-SumKernel::SumKernel(std::unique_ptr<Kernel> left, std::unique_ptr<Kernel> right)
-    : left_(std::move(left)), right_(std::move(right)) {
-  if (!left_ || !right_) throw std::invalid_argument("SumKernel: null child");
-}
-
-std::size_t SumKernel::num_params() const {
-  return left_->num_params() + right_->num_params();
-}
-
-std::vector<double> SumKernel::log_params() const {
-  std::vector<double> theta = left_->log_params();
-  const std::vector<double> right = right_->log_params();
-  theta.insert(theta.end(), right.begin(), right.end());
-  return theta;
-}
-
-void SumKernel::set_log_params(std::span<const double> theta) {
-  check_param_count(theta, num_params(), "SumKernel");
-  left_->set_log_params(theta.subspan(0, left_->num_params()));
-  right_->set_log_params(theta.subspan(left_->num_params()));
-}
-
-opt::Bounds SumKernel::log_bounds() const {
-  opt::Bounds b = left_->log_bounds();
-  const opt::Bounds rb = right_->log_bounds();
-  b.lower.insert(b.lower.end(), rb.lower.begin(), rb.lower.end());
-  b.upper.insert(b.upper.end(), rb.upper.begin(), rb.upper.end());
-  return b;
-}
-
-Matrix SumKernel::gram(const Matrix& x) const {
-  Matrix k = left_->gram(x);
-  const Matrix r = right_->gram(x);
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] += r.data()[i];
-  return k;
-}
-
-Matrix SumKernel::gram_with_gradients(const Matrix& x,
-                                      std::vector<Matrix>& gradients) const {
-  std::vector<Matrix> left_grads;
-  std::vector<Matrix> right_grads;
-  Matrix k = left_->gram_with_gradients(x, left_grads);
-  const Matrix r = right_->gram_with_gradients(x, right_grads);
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] += r.data()[i];
-  gradients.clear();
-  gradients.reserve(left_grads.size() + right_grads.size());
-  for (auto& g : left_grads) gradients.push_back(std::move(g));
-  for (auto& g : right_grads) gradients.push_back(std::move(g));
-  return k;
-}
-
-Matrix SumKernel::cross(const Matrix& x, const Matrix& y) const {
-  Matrix k = left_->cross(x, y);
-  const Matrix r = right_->cross(x, y);
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] += r.data()[i];
-  return k;
-}
-
-void SumKernel::prepare_distances(PairwiseDistances& dist) const {
-  left_->prepare_distances(dist);
-  right_->prepare_distances(dist);
-}
-
-Matrix SumKernel::gram_cached(const PairwiseDistances& dist) const {
-  // Fast path: a White addend only touches the diagonal, so the dense
-  // allocate-then-add pass collapses to n diagonal additions. Bit-identical
-  // to the generic pass: off-diagonal entries would add +0.0 (a no-op for
-  // every value a kernel gram produces — none emit -0), and the diagonal
-  // addition is commutative, hence exact in either operand order.
-  if (const auto* white = dynamic_cast<const WhiteKernel*>(right_.get())) {
-    Matrix k = left_->gram_cached(dist);
-    const double noise = white->noise();
-    for (std::size_t i = 0; i < k.rows(); ++i) k(i, i) += noise;
-    return k;
-  }
-  if (const auto* white = dynamic_cast<const WhiteKernel*>(left_.get())) {
-    Matrix k = right_->gram_cached(dist);
-    const double noise = white->noise();
-    for (std::size_t i = 0; i < k.rows(); ++i) k(i, i) += noise;
-    return k;
-  }
-  Matrix k = left_->gram_cached(dist);
-  const Matrix r = right_->gram_cached(dist);
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] += r.data()[i];
-  return k;
-}
-
-Matrix SumKernel::gram_with_gradients_cached(
-    const PairwiseDistances& dist, std::vector<Matrix>& gradients) const {
-  std::vector<Matrix> left_grads;
-  std::vector<Matrix> right_grads;
-  Matrix k = left_->gram_with_gradients_cached(dist, left_grads);
-  const Matrix r = right_->gram_with_gradients_cached(dist, right_grads);
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] += r.data()[i];
-  gradients.clear();
-  gradients.reserve(left_grads.size() + right_grads.size());
-  for (auto& g : left_grads) gradients.push_back(std::move(g));
-  for (auto& g : right_grads) gradients.push_back(std::move(g));
-  return k;
-}
-
-Matrix SumKernel::cross_cached(const PairwiseDistances& dist) const {
-  Matrix k = left_->cross_cached(dist);
-  const Matrix r = right_->cross_cached(dist);
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] += r.data()[i];
-  return k;
-}
-
-std::vector<double> SumKernel::diagonal(const Matrix& x) const {
-  std::vector<double> d = left_->diagonal(x);
-  const std::vector<double> r = right_->diagonal(x);
-  for (std::size_t i = 0; i < d.size(); ++i) d[i] += r[i];
-  return d;
-}
-
-std::unique_ptr<Kernel> SumKernel::clone() const {
-  return std::make_unique<SumKernel>(left_->clone(), right_->clone());
-}
-
-std::string SumKernel::describe() const {
-  return left_->describe() + " + " + right_->describe();
-}
-
-// ---- ProductKernel ---------------------------------------------------------
-
-ProductKernel::ProductKernel(std::unique_ptr<Kernel> left,
-                             std::unique_ptr<Kernel> right)
-    : left_(std::move(left)), right_(std::move(right)) {
-  if (!left_ || !right_) throw std::invalid_argument("ProductKernel: null child");
-}
-
-std::size_t ProductKernel::num_params() const {
-  return left_->num_params() + right_->num_params();
-}
-
-std::vector<double> ProductKernel::log_params() const {
-  std::vector<double> theta = left_->log_params();
-  const std::vector<double> right = right_->log_params();
-  theta.insert(theta.end(), right.begin(), right.end());
-  return theta;
-}
-
-void ProductKernel::set_log_params(std::span<const double> theta) {
-  check_param_count(theta, num_params(), "ProductKernel");
-  left_->set_log_params(theta.subspan(0, left_->num_params()));
-  right_->set_log_params(theta.subspan(left_->num_params()));
-}
-
-opt::Bounds ProductKernel::log_bounds() const {
-  opt::Bounds b = left_->log_bounds();
-  const opt::Bounds rb = right_->log_bounds();
-  b.lower.insert(b.lower.end(), rb.lower.begin(), rb.lower.end());
-  b.upper.insert(b.upper.end(), rb.upper.begin(), rb.upper.end());
-  return b;
-}
-
-Matrix ProductKernel::gram(const Matrix& x) const {
-  Matrix k = left_->gram(x);
-  const Matrix r = right_->gram(x);
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] *= r.data()[i];
-  return k;
-}
-
-Matrix ProductKernel::gram_with_gradients(const Matrix& x,
-                                          std::vector<Matrix>& gradients) const {
-  std::vector<Matrix> left_grads;
-  std::vector<Matrix> right_grads;
-  const Matrix kl = left_->gram_with_gradients(x, left_grads);
-  const Matrix kr = right_->gram_with_gradients(x, right_grads);
-
-  gradients.clear();
-  gradients.reserve(left_grads.size() + right_grads.size());
-  // Product rule: d(K1 o K2)/dtheta1 = dK1/dtheta1 o K2, and symmetrically.
-  for (auto& g : left_grads) {
-    for (std::size_t i = 0; i < g.data().size(); ++i) g.data()[i] *= kr.data()[i];
-    gradients.push_back(std::move(g));
-  }
-  for (auto& g : right_grads) {
-    for (std::size_t i = 0; i < g.data().size(); ++i) g.data()[i] *= kl.data()[i];
-    gradients.push_back(std::move(g));
-  }
-
-  Matrix k = kl;
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] *= kr.data()[i];
-  return k;
-}
-
-Matrix ProductKernel::cross(const Matrix& x, const Matrix& y) const {
-  Matrix k = left_->cross(x, y);
-  const Matrix r = right_->cross(x, y);
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] *= r.data()[i];
-  return k;
-}
-
-void ProductKernel::prepare_distances(PairwiseDistances& dist) const {
-  left_->prepare_distances(dist);
-  right_->prepare_distances(dist);
-}
-
-Matrix ProductKernel::gram_cached(const PairwiseDistances& dist) const {
-  // Fast path: a Constant factor is a scalar scale — no dense constant
-  // matrix, one multiply per entry. FP multiplication is commutative
-  // bit-for-bit, so c * k and k * c agree with the generic elementwise
-  // product exactly.
-  if (const auto* c = dynamic_cast<const ConstantKernel*>(left_.get())) {
-    Matrix k = right_->gram_cached(dist);
-    const double v = c->value();
-    for (double& e : k.data()) e *= v;
-    return k;
-  }
-  if (const auto* c = dynamic_cast<const ConstantKernel*>(right_.get())) {
-    Matrix k = left_->gram_cached(dist);
-    const double v = c->value();
-    for (double& e : k.data()) e *= v;
-    return k;
-  }
-  Matrix k = left_->gram_cached(dist);
-  const Matrix r = right_->gram_cached(dist);
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] *= r.data()[i];
-  return k;
-}
-
-Matrix ProductKernel::gram_with_gradients_cached(
-    const PairwiseDistances& dist, std::vector<Matrix>& gradients) const {
-  std::vector<Matrix> left_grads;
-  std::vector<Matrix> right_grads;
-  const Matrix kl = left_->gram_with_gradients_cached(dist, left_grads);
-  const Matrix kr = right_->gram_with_gradients_cached(dist, right_grads);
-
-  gradients.clear();
-  gradients.reserve(left_grads.size() + right_grads.size());
-  // Product rule, same combine order as the direct path.
-  for (auto& g : left_grads) {
-    for (std::size_t i = 0; i < g.data().size(); ++i) g.data()[i] *= kr.data()[i];
-    gradients.push_back(std::move(g));
-  }
-  for (auto& g : right_grads) {
-    for (std::size_t i = 0; i < g.data().size(); ++i) g.data()[i] *= kl.data()[i];
-    gradients.push_back(std::move(g));
-  }
-
-  Matrix k = kl;
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] *= kr.data()[i];
-  return k;
-}
-
-Matrix ProductKernel::cross_cached(const PairwiseDistances& dist) const {
-  Matrix k = left_->cross_cached(dist);
-  const Matrix r = right_->cross_cached(dist);
-  for (std::size_t i = 0; i < k.data().size(); ++i) k.data()[i] *= r.data()[i];
-  return k;
-}
-
-std::vector<double> ProductKernel::diagonal(const Matrix& x) const {
-  std::vector<double> d = left_->diagonal(x);
-  const std::vector<double> r = right_->diagonal(x);
-  for (std::size_t i = 0; i < d.size(); ++i) d[i] *= r[i];
-  return d;
-}
-
-std::unique_ptr<Kernel> ProductKernel::clone() const {
-  return std::make_unique<ProductKernel>(left_->clone(), right_->clone());
-}
-
-std::string ProductKernel::describe() const {
-  return "(" + left_->describe() + ") * (" + right_->describe() + ")";
-}
-
-// ---- builders --------------------------------------------------------------
-
-std::unique_ptr<Kernel> sum(std::unique_ptr<Kernel> a, std::unique_ptr<Kernel> b) {
-  return std::make_unique<SumKernel>(std::move(a), std::move(b));
-}
-
-std::unique_ptr<Kernel> product(std::unique_ptr<Kernel> a,
-                                std::unique_ptr<Kernel> b) {
-  return std::make_unique<ProductKernel>(std::move(a), std::move(b));
-}
-
-std::unique_ptr<Kernel> make_paper_kernel(double amplitude, double length_scale,
-                                          double noise) {
-  return sum(product(std::make_unique<ConstantKernel>(amplitude),
-                     std::make_unique<RbfKernel>(length_scale)),
-             std::make_unique<WhiteKernel>(noise));
-}
-
-std::unique_ptr<Kernel> make_ard_kernel(std::size_t dim, double amplitude,
-                                        double length_scale, double noise) {
-  return sum(product(std::make_unique<ConstantKernel>(amplitude),
-                     std::make_unique<RbfArdKernel>(
-                         std::vector<double>(dim, length_scale))),
-             std::make_unique<WhiteKernel>(noise));
-}
-
-std::unique_ptr<Kernel> make_matern_kernel(MaternKernel::Nu nu, double amplitude,
-                                           double length_scale, double noise) {
-  return sum(product(std::make_unique<ConstantKernel>(amplitude),
-                     std::make_unique<MaternKernel>(nu, length_scale)),
-             std::make_unique<WhiteKernel>(noise));
+Kernel make_kernel(Kernel::Profile profile, std::size_t dim, double amplitude,
+                   double length_scale, double noise) {
+  const std::size_t count = profile == Kernel::Profile::kRbfArd ? dim : 1;
+  return Kernel(profile, amplitude, std::vector<double>(count, length_scale),
+                noise);
 }
 
 }  // namespace alamr::gp

@@ -22,40 +22,14 @@ void gather_group(const Matrix& x, std::span<const double> y,
 
 }  // namespace
 
-LocalGprEnsemble::LocalGprEnsemble(std::unique_ptr<Kernel> prototype,
-                                   RegionLabeler labeler, GprOptions options)
+LocalGprEnsemble::LocalGprEnsemble(Kernel prototype, RegionLabeler labeler,
+                                   GprOptions options)
     : prototype_(std::move(prototype)),
       labeler_(std::move(labeler)),
       options_(options) {
-  if (!prototype_) {
-    throw std::invalid_argument("LocalGprEnsemble: null kernel prototype");
-  }
   if (!labeler_) {
     throw std::invalid_argument("LocalGprEnsemble: null labeler");
   }
-}
-
-LocalGprEnsemble::LocalGprEnsemble(const LocalGprEnsemble& other)
-    : prototype_(other.prototype_ ? other.prototype_->clone() : nullptr),
-      labeler_(other.labeler_),
-      options_(other.options_),
-      min_region_size_(other.min_region_size_),
-      base_(other.base_),
-      fallback_(other.fallback_),
-      fitted_(other.fitted_),
-      global_(other.global_),
-      regions_(other.regions_),
-      y_sum_(other.y_sum_),
-      n_train_(other.n_train_),
-      pending_theta_(other.pending_theta_),
-      pending_theta_used_(other.pending_theta_used_) {}
-
-LocalGprEnsemble& LocalGprEnsemble::operator=(const LocalGprEnsemble& other) {
-  if (this != &other) {
-    LocalGprEnsemble copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
 }
 
 void LocalGprEnsemble::set_labeler(RegionLabeler labeler) {
@@ -71,9 +45,9 @@ void LocalGprEnsemble::fit(const Matrix& x, std::span<const double> y,
 }
 
 void LocalGprEnsemble::fit_region_model(Region& region, stats::Rng& rng) {
-  GaussianProcessRegressor model(prototype_->clone(), options_);
+  GaussianProcessRegressor model(prototype_, options_);
   if (!pending_theta_.empty()) {
-    const std::size_t p = prototype_->num_params();
+    const std::size_t p = prototype_.num_params();
     if (pending_theta_used_ + p > pending_theta_.size()) {
       throw std::runtime_error(
           "LocalGprEnsemble::fit: staged log-params exhausted (model count "
@@ -117,7 +91,7 @@ void LocalGprEnsemble::fit(const Matrix& x, std::span<const double> y,
   // Staged-theta count check, BEFORE any model consumes rng: the staged
   // slices must cover exactly the models this fit will build.
   if (!pending_theta_.empty()) {
-    const std::size_t p = prototype_->num_params();
+    const std::size_t p = prototype_.num_params();
     std::size_t models = fallback_ == Fallback::kGlobalModel ? 1 : 0;
     for (const auto& [label, rows] : groups) {
       if (rows.size() >= min_region_size_) ++models;
@@ -133,7 +107,7 @@ void LocalGprEnsemble::fit(const Matrix& x, std::span<const double> y,
   // ascending label order — the historical sequence).
   global_.reset();
   if (fallback_ == Fallback::kGlobalModel) {
-    GaussianProcessRegressor model(prototype_->clone(), options_);
+    GaussianProcessRegressor model(prototype_, options_);
     if (!pending_theta_.empty()) {
       // The global slice is staged LAST (log_params() order) but consumed
       // first; regions start after it... keep consumption in log_params()
@@ -141,7 +115,7 @@ void LocalGprEnsemble::fit(const Matrix& x, std::span<const double> y,
       // order (global fit first) while consuming theta in log_params()
       // order (regions first, global last), slice the global's theta from
       // the tail explicitly.
-      const std::size_t p = prototype_->num_params();
+      const std::size_t p = prototype_.num_params();
       model.set_kernel_log_params(
           std::span<const double>(pending_theta_)
               .subspan(pending_theta_.size() - p, p));
@@ -193,7 +167,7 @@ int LocalGprEnsemble::add_point(std::span<const double> x, double y,
 Prediction LocalGprEnsemble::prior_prediction(const Matrix& x) const {
   Prediction out;
   out.mean.assign(x.rows(), prior_mean());
-  out.stddev = prototype_->diagonal(x);
+  out.stddev = prototype_.diagonal(x);
   for (double& v : out.stddev) v = std::sqrt(v);
   return out;
 }
@@ -325,7 +299,7 @@ std::vector<double> LocalGprEnsemble::log_params() const {
 }
 
 void LocalGprEnsemble::set_pending_log_params(std::span<const double> theta) {
-  const std::size_t p = prototype_->num_params();
+  const std::size_t p = prototype_.num_params();
   if (p == 0 || theta.size() % p != 0) {
     throw std::runtime_error(
         "LocalGprEnsemble::set_pending_log_params: length is not a multiple "

@@ -48,8 +48,11 @@ TEST(ArenaGate, SteadyStateFootprintIsFlat) {
   EXPECT_GT(traj.trace.counter("predict.batch_calls"), 0u);
   EXPECT_GT(traj.trace.counter("predict.batch_queries"), 0u);
   EXPECT_GT(traj.trace.counter("arena.bytes_peak"), 0u);
-  EXPECT_GE(traj.trace.counter("arena.bytes_peak"),
-            traj.trace.counter("arena.inuse_peak_bytes"));
+  // The in-use peak counts pass allocations only, not the pre-warm, so it
+  // shows how much of the reserved capacity the passes really touched.
+  EXPECT_GT(traj.trace.counter("arena.inuse_peak_bytes"), 0u);
+  EXPECT_LT(traj.trace.counter("arena.inuse_peak_bytes"),
+            traj.trace.counter("arena.bytes_peak"));
 
   // The gate itself: the pre-warm sizes the arena once, so capacity
   // never grows after the first pass and every pass scope was closed.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 namespace {
@@ -128,6 +129,21 @@ TEST(OnlineAl, RunTwiceThrows) {
   Rng rng(2);
   driver.run(RandUniform(), rng);
   EXPECT_THROW(driver.run(RandUniform(), rng), OnlineContractError);
+}
+
+TEST(OnlineAl, InfiniteOracleMeasurementThrows) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const ExperimentOracle infinite_cost = [inf](std::span<const double>) {
+    return std::pair{inf, 1.0};
+  };
+  const ExperimentOracle infinite_memory = [inf](std::span<const double>) {
+    return std::pair{1.0, inf};
+  };
+  for (const ExperimentOracle& oracle : {infinite_cost, infinite_memory}) {
+    OnlineAlDriver driver(unit_grid(5), oracle, fast_options(1, 2));
+    Rng rng(3);
+    EXPECT_THROW(driver.run(RandUniform(), rng), OnlineContractError);
+  }
 }
 
 TEST(OnlineAl, BadOracleMeasurementThrows) {

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -328,6 +329,35 @@ TEST(ServeEngine, ProtocolContractViolationsThrow) {
   engine.close_session(1);
   engine.close_session(2);
   EXPECT_EQ(engine.session_count(), 0u);
+}
+
+// A +inf measurement is rejected before it reaches log10 or the fit: the
+// suggestion stays outstanding, and the finite retry yields records
+// byte-identical to a session that never saw the bad report.
+TEST(ServeEngine, NonFiniteMeasurementIsRejectedWithoutSideEffects) {
+  const Matrix grid = unit_grid(4);
+  const RandUniform strategy;
+  const double inf = std::numeric_limits<double>::infinity();
+  SessionEngine clean({.retrain_workers = 0});
+  clean.open_session(1, grid, strategy, session_options(21));
+  drive_sync(clean, 1);
+  const OnlineResult reference = clean.finish_session(1);
+
+  SessionEngine engine({.retrain_workers = 0});
+  engine.open_session(1, grid, strategy, session_options(21));
+  for (std::size_t step = 0;; ++step) {
+    const Suggestion s = engine.suggest(1);
+    if (s.done) break;
+    const auto [cost, memory] = synthetic_oracle(s.features);
+    // Bad reports during the initial phase (step 0) and the AL phase.
+    if (step == 0 || step == 4) {
+      EXPECT_THROW(engine.observe(1, inf, memory), OnlineContractError);
+      EXPECT_THROW(engine.observe(1, cost, inf), OnlineContractError);
+      EXPECT_THROW(engine.suggest(1), OnlineContractError);  // still pending
+    }
+    engine.observe(1, cost, memory);
+  }
+  expect_same_records(engine.finish_session(1).records, reference.records);
 }
 
 // An abandoned suggestion (observe_failure) is dropped exactly like a

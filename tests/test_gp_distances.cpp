@@ -1,7 +1,7 @@
 // PairwiseDistances and the distance-cached kernel paths.
 //
 // The contract under test is BITWISE: every cached evaluation must
-// reproduce exactly the doubles the direct path produces, because the
+// reproduce exactly the doubles the feature-row path produces, because the
 // golden-trajectory suite compares serialized trajectories byte-for-byte
 // with the caches enabled by default. Comparisons here therefore go
 // through the raw bit patterns, not a tolerance.
@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "alamr/core/trace.hpp"
@@ -156,57 +156,37 @@ TEST(PairwiseDistances, AppendRowEqualsRebuildRectangular) {
 
 // --- cached kernel evaluation ---------------------------------------------
 
-std::vector<std::unique_ptr<Kernel>> all_kernels() {
-  std::vector<std::unique_ptr<Kernel>> kernels;
-  kernels.push_back(std::make_unique<ConstantKernel>(2.5));
-  kernels.push_back(std::make_unique<WhiteKernel>(0.3));
-  kernels.push_back(std::make_unique<RbfKernel>(0.8));
-  kernels.push_back(
-      std::make_unique<RbfArdKernel>(std::vector<double>{0.5, 1.7, 0.9}));
-  kernels.push_back(
-      std::make_unique<MaternKernel>(MaternKernel::Nu::kThreeHalves, 1.2));
-  kernels.push_back(
-      std::make_unique<MaternKernel>(MaternKernel::Nu::kFiveHalves, 0.6));
-  kernels.push_back(std::make_unique<RationalQuadraticKernel>(1.1, 0.7));
+std::vector<Kernel> all_kernels() {
+  std::vector<Kernel> kernels;
   // The paper's composite: amplitude * RBF + noise.
-  kernels.push_back(std::make_unique<SumKernel>(
-      std::make_unique<ProductKernel>(std::make_unique<ConstantKernel>(1.4),
-                                      std::make_unique<RbfKernel>(0.9)),
-      std::make_unique<WhiteKernel>(0.05)));
-  // An ARD composite, so Sum/Product prepare_distances forwarding is hit.
-  kernels.push_back(std::make_unique<ProductKernel>(
-      std::make_unique<ConstantKernel>(0.8),
-      std::make_unique<RbfArdKernel>(std::vector<double>{1.3, 0.4, 2.0})));
+  kernels.push_back(make_paper_kernel(1.4, 0.9, 0.05));
+  kernels.push_back(make_kernel(Kernel::Profile::kRbfArd, 3, 0.8, 1.0, 0.3));
+  kernels.back().set_log_params(
+      std::vector<double>{std::log(0.8), std::log(1.3), std::log(0.4),
+                          std::log(2.0), std::log(0.3)});
+  kernels.push_back(make_kernel(Kernel::Profile::kMatern32, 3, 2.5, 1.2, 1e-4));
+  kernels.push_back(make_kernel(Kernel::Profile::kMatern52, 3, 1.0, 0.6, 1e-2));
   return kernels;
 }
 
+// The incremental GPR update grows the cached gram with cross() entries and
+// a diagonal() entry, so both must reproduce the cached gram bit for bit.
 TEST(CachedKernels, GramBitwiseEqualsDirect) {
   Rng rng(22);
   const Matrix x = random_points(10, 3, rng);
-  for (const auto& kernel : all_kernels()) {
+  for (const Kernel& kernel : all_kernels()) {
     PairwiseDistances dist = PairwiseDistances::train(x);
-    kernel->prepare_distances(dist);
-    EXPECT_TRUE(bitwise_equal(kernel->gram_cached(dist), kernel->gram(x)))
-        << kernel->describe();
-  }
-}
-
-TEST(CachedKernels, GramWithGradientsBitwiseEqualsDirect) {
-  Rng rng(23);
-  const Matrix x = random_points(10, 3, rng);
-  for (const auto& kernel : all_kernels()) {
-    PairwiseDistances dist = PairwiseDistances::train(x);
-    kernel->prepare_distances(dist);
-    std::vector<Matrix> direct_grads;
-    std::vector<Matrix> cached_grads;
-    const Matrix direct = kernel->gram_with_gradients(x, direct_grads);
-    const Matrix cached =
-        kernel->gram_with_gradients_cached(dist, cached_grads);
-    EXPECT_TRUE(bitwise_equal(cached, direct)) << kernel->describe();
-    ASSERT_EQ(cached_grads.size(), direct_grads.size()) << kernel->describe();
-    for (std::size_t g = 0; g < direct_grads.size(); ++g) {
-      EXPECT_TRUE(bitwise_equal(cached_grads[g], direct_grads[g]))
-          << kernel->describe() << " grad " << g;
+    kernel.prepare_distances(dist);
+    const Matrix cached = kernel.gram_cached(dist);
+    const Matrix direct = kernel.cross(x, x);
+    const std::vector<double> diag = kernel.diagonal(x);
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      EXPECT_TRUE(same_bits(cached(i, i), diag[i])) << kernel.describe();
+      for (std::size_t j = 0; j < x.rows(); ++j) {
+        if (i == j) continue;
+        EXPECT_TRUE(same_bits(cached(i, j), direct(i, j)))
+            << kernel.describe() << " (" << i << ", " << j << ")";
+      }
     }
   }
 }
@@ -215,17 +195,16 @@ TEST(CachedKernels, CrossBitwiseEqualsDirect) {
   Rng rng(24);
   const Matrix x = random_points(8, 3, rng);
   const Matrix y = random_points(5, 3, rng);
-  for (const auto& kernel : all_kernels()) {
+  for (const Kernel& kernel : all_kernels()) {
     PairwiseDistances dist = PairwiseDistances::cross(x, y);
-    kernel->prepare_distances(dist);
-    EXPECT_TRUE(
-        bitwise_equal(kernel->cross_cached(dist), kernel->cross(x, y)))
-        << kernel->describe();
+    kernel.prepare_distances(dist);
+    EXPECT_TRUE(bitwise_equal(kernel.cross_cached(dist), kernel.cross(x, y)))
+        << kernel.describe();
   }
 }
 
 TEST(CachedKernels, ArdRejectsMismatchedCache) {
-  const RbfArdKernel kernel(std::vector<double>{1.0, 1.0});
+  const Kernel kernel = make_kernel(Kernel::Profile::kRbfArd, 2);
   Rng rng(25);
   const Matrix wrong_dim = random_points(4, 3, rng);
   PairwiseDistances dist = PairwiseDistances::train(wrong_dim);
@@ -240,12 +219,7 @@ TEST(CachedKernels, ArdRejectsMismatchedCache) {
 
 // --- GPR integration -------------------------------------------------------
 
-std::unique_ptr<Kernel> paper_kernel(std::size_t /*dim*/) {
-  return std::make_unique<SumKernel>(
-      std::make_unique<ProductKernel>(std::make_unique<ConstantKernel>(1.0),
-                                      std::make_unique<RbfKernel>(1.0)),
-      std::make_unique<WhiteKernel>(1e-2));
-}
+Kernel paper_kernel(std::size_t /*dim*/) { return make_paper_kernel(); }
 
 // --- dataset-wide base + gathered subset caches ----------------------------
 

@@ -134,7 +134,7 @@ TEST(PanelGpr, FullRefitInvalidatesAndRebuildsBitwise) {
   const auto y = targets(x, rng);
   GprOptions options;
   options.optimize = false;
-  GaussianProcessRegressor gpr(make_ard_kernel(3), options);
+  GaussianProcessRegressor gpr(make_kernel(Kernel::Profile::kRbfArd, 3), options);
   gpr.fit(x, y, rng);
 
   const Matrix pool = random_points(11, 3, rng);

@@ -64,19 +64,13 @@ void expect_bitwise_equal(const Prediction& a, const Prediction& b) {
 TEST(PredictBatch, BitwiseMatchesPredictAcrossKernels) {
   struct Case {
     const char* name;
-    std::unique_ptr<Kernel> (*make)();
+    Kernel (*make)();
   };
   const Case cases[] = {
       {"paper", [] { return make_paper_kernel(); }},
-      {"ard", [] { return make_ard_kernel(3); }},
-      {"matern",
-       [] { return make_matern_kernel(MaternKernel::Nu::kFiveHalves); }},
-      {"rq",
-       [] {
-         return sum(product(std::make_unique<ConstantKernel>(1.0),
-                            std::make_unique<RationalQuadraticKernel>(0.5)),
-                    std::make_unique<WhiteKernel>(1e-6));
-       }},
+      {"ard", [] { return make_kernel(Kernel::Profile::kRbfArd, 3); }},
+      {"matern32", [] { return make_kernel(Kernel::Profile::kMatern32, 3); }},
+      {"matern52", [] { return make_kernel(Kernel::Profile::kMatern52, 3); }},
   };
   for (const Case& c : cases) {
     Rng rng(41);

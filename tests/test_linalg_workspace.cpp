@@ -84,6 +84,10 @@ TEST(Workspace, PeakTracksHighWaterAcrossRewinds) {
   EXPECT_EQ(ws.doubles_in_use(), 100u);
   EXPECT_EQ(ws.doubles_peak(), 500u);
   EXPECT_EQ(ws.bytes_peak(), 500u * sizeof(double));
+  ws.restart_peak();
+  EXPECT_EQ(ws.doubles_peak(), 100u);
+  ws.alloc(50);
+  EXPECT_EQ(ws.doubles_peak(), 150u);
 }
 
 TEST(Workspace, PreSizedArenaFirstPassIsHeapFree) {
