@@ -58,6 +58,12 @@
 #                    fallback, quarantine, and read-retry must keep
 #                    every byte-identity assertion green with real I/O
 #                    faults firing process-wide
+#  13. crash-resume — scripts/crash_resume.sh on the plain build:
+#                    SIGKILLs a checkpointing examples/online_al run,
+#                    tears its newest generation, and requires the
+#                    resumed process to quarantine the torn frame and
+#                    reproduce the uninterrupted experiment log byte for
+#                    byte
 #
 # Finally an explicit golden gate re-runs the golden-trajectory byte
 # comparisons (the one posterior path, at 1 and 4 lanes internally, plus
@@ -124,6 +130,16 @@ run_level() {
 }
 
 run_config plain -DALAMR_WERROR=ON
+
+# Crash/resume leg (DESIGN.md §14): a real process killed mid-run, a torn
+# frame on disk, and a resumed process that must finish byte-identical.
+echo "=== [crash-resume] SIGKILL + torn-frame resume of examples/online_al ==="
+scripts/crash_resume.sh build-check/plain > /tmp/check_crash_resume.log 2>&1 || {
+  tail -50 /tmp/check_crash_resume.log
+  echo "FAILED: crash-resume (full log: /tmp/check_crash_resume.log)"
+  exit 1
+}
+tail -2 /tmp/check_crash_resume.log
 run_config asan -DALAMR_SANITIZE=address,undefined -DALAMR_DEBUG_ASSERTS=ON
 run_config ubsan -DALAMR_SANITIZE=undefined
 run_config native -DALAMR_NATIVE=ON

@@ -12,6 +12,13 @@
 // selection, which is exactly the regime the cost-aware strategies are
 // designed for.
 //
+// The driver is a thin scheduler over the same per-trajectory step the
+// SessionEngine (serve.hpp) serves: suggest, run the oracle inline,
+// observe (or record the give-up), and run the due refit in place on the
+// session's own models, i.e. the engine at retrain_stride 1 without the
+// clone. Checkpoints therefore share one format, and a driver checkpoint
+// restores into the engine and vice versa.
+//
 // Serving-core resilience (DESIGN.md §14): oracle calls run under a
 // deadline/backoff executor (seeded deterministic retries over a virtual
 // clock); candidates whose oracle keeps failing are dropped rather than
@@ -108,17 +115,20 @@ std::string online_run_fingerprint(const linalg::Matrix& grid,
                                    const OnlineAlOptions& options,
                                    std::string_view plan_spec);
 
+struct GridContext;  // internal: scaled grid + distance base
+
 /// Drives online AL over `candidate_grid` (raw feature rows; scaled to the
 /// unit cube internally). Every selection calls `oracle` exactly once
 /// (plus deadline-executor retries on transient oracle failures).
 class OnlineAlDriver {
  public:
+  /// Throws std::invalid_argument for an empty grid, a NaN or infinite
+  /// feature, a null oracle, n_init == 0, or a grid smaller than
+  /// n_init + iterations.
   OnlineAlDriver(linalg::Matrix candidate_grid, ExperimentOracle oracle,
                  OnlineAlOptions options);
 
-  std::size_t remaining_candidates() const noexcept {
-    return grid_.rows() - visited_count_;
-  }
+  std::size_t remaining_candidates() const noexcept;
 
   /// Runs the initial phase plus `options.iterations` AL selections.
   /// Callable once per driver instance: a second call throws
@@ -131,11 +141,10 @@ class OnlineAlDriver {
                    const CheckpointConfig* checkpoint = nullptr);
 
  private:
-  linalg::Matrix grid_;          // raw features
-  linalg::Matrix grid_scaled_;   // unit-cube features
+  std::shared_ptr<const GridContext> grid_;
   ExperimentOracle oracle_;
   OnlineAlOptions options_;
-  std::size_t visited_count_ = 0;
+  std::size_t consumed_ = 0;  // grid rows run or abandoned by run()
   bool ran_ = false;
 };
 

@@ -7,7 +7,11 @@
 // called inline. The SessionEngine inverts that control flow for a
 // daemon: many concurrent sessions, each an open online-AL trajectory,
 // advance through a suggest / observe request protocol while the engine
-// owns the expensive state. Three structural wins over N drivers:
+// owns the expensive state. Both schedule the same per-trajectory step
+// (suggest, observe, the due full refit, snapshot, restore); the engine
+// adds only the store, the queues and drain, the retrain pool with its
+// jobs and epochs, and the mailboxes. Three structural wins over N
+// drivers:
 //
 //   1. Sharded session store — sessions live in fixed shards, each with
 //      its own mutex and request queue, addressable by id. A session
@@ -19,24 +23,25 @@
 //      suggest/query across sessions into one pass executed on the
 //      ThreadPool (`ALAMR_THREADS`). Per session the sweep rides the
 //      candidate-panel path (predict_candidates): O(M·n) panel resumes
-//      instead of the driver's O(M·n²) fresh solve per request, bit-
-//      identical by the panel and distance-base-gather contracts.
-//   3. Off-path retrains — hyperparameter refits and full posterior
-//      rebuilds run on background workers against a frozen snapshot
-//      (cloned backends + copied labels) and atomically swap in under
-//      the session's epoch counter. The request path only ever pays
-//      panel resumes and one-row Cholesky extends; queries in flight
-//      finish on the old posterior.
+//      instead of an O(M·n²) fresh solve per request, bit-identical by
+//      the panel and distance-base-gather contracts.
+//   3. Off-path retrains — the step's full refit runs on background
+//      workers against a frozen snapshot (cloned backends + copied
+//      labels) and atomically swaps in under the session's epoch
+//      counter; the driver runs the same refit in place. The request
+//      path only ever pays panel resumes and one-row Cholesky extends;
+//      queries in flight finish on the old posterior.
 //
 // Determinism contract: every session draws only from its own rng
 // stream, consults only its own fault injector, and its requests are
 // processed in enqueue order — so per-session results are byte-identical
 // to a serial OnlineAlDriver run at any thread count and any shard
-// count (golden-tested at 1 and 4 threads). With retrain_stride == 1 a
-// session IS the driver recipe bit for bit; larger strides trade refit
-// freshness for throughput (add_point extends at fixed hyperparameters
-// between full refits) — a serving-schedule knob, deliberately outside
-// the checkpoint fingerprint.
+// count (tested at 1 and 4 threads, and against the textbook loop in
+// tests/reference_online.hpp). At retrain_stride == 1 a session runs the
+// driver's schedule; larger strides trade refit freshness for throughput
+// (add_point extends at fixed hyperparameters between full refits) — a
+// serving-schedule knob, deliberately outside the checkpoint
+// fingerprint.
 
 #include <cstdint>
 #include <deque>
@@ -126,9 +131,10 @@ class SessionEngine {
 
   // -- Session lifecycle ----------------------------------------------------
 
-  /// Opens a fresh session over `grid` (raw feature rows). Validation
-  /// mirrors OnlineAlDriver's constructor; duplicate ids throw
-  /// OnlineContractError.
+  /// Opens a fresh session over `grid` (raw feature rows). The setup
+  /// checks are OnlineAlDriver's (std::invalid_argument for an empty
+  /// grid, a NaN or infinite feature, or bad budgets); duplicate ids
+  /// throw OnlineContractError.
   void open_session(SessionId id, linalg::Matrix grid,
                     const Strategy& strategy, SessionOptions options);
 
@@ -137,7 +143,8 @@ class SessionEngine {
   /// saved fingerprint must match (grid, strategy, options.al, fault
   /// plan) — the same compatibility rule as OnlineAlDriver resume, and
   /// the same frame format, so driver checkpoints restore into the
-  /// engine and vice versa.
+  /// engine and vice versa. An id that is already open throws
+  /// OnlineContractError before anything is loaded.
   void restore_session(SessionId id, linalg::Matrix grid,
                        const Strategy& strategy, SessionOptions options);
 
@@ -168,6 +175,8 @@ class SessionEngine {
   /// The experiment could not be run (infrastructure failure): the
   /// suggested candidate is abandoned, like a driver oracle give-up.
   void enqueue_observe_failure(SessionId id);
+  /// A NaN or infinite query feature is an OnlineContractError (raised
+  /// by drain() / query_posterior before any model is touched).
   void enqueue_query(SessionId id, linalg::Matrix x);
 
   /// Processes all queued requests; returns how many. Coalesces the

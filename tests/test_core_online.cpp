@@ -122,6 +122,15 @@ TEST(OnlineAl, ValidatesArguments) {
   OnlineAlOptions too_many = fast_options(5, 100);
   EXPECT_THROW(OnlineAlDriver(unit_grid(3), synthetic_oracle, too_many),
                std::invalid_argument);
+  // A NaN or infinite feature would otherwise reach the scaler and kernel.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Matrix grid = unit_grid(4);
+    grid(7, 0) = bad;
+    EXPECT_THROW(OnlineAlDriver(grid, synthetic_oracle, fast_options(2, 3)),
+                 std::invalid_argument);
+  }
 }
 
 TEST(OnlineAl, RunTwiceThrows) {

@@ -1,20 +1,29 @@
 // Multi-tenant session engine (DESIGN.md §15): byte-identity of the
 // batched engine against serial OnlineAlDriver runs, batched-vs-serial
-// arm parity at serving strides, evict/restore round-trips, degradation
-// isolation between co-hosted tenants, the request-protocol contract,
-// and concurrent shard traffic (the TSan target).
+// arm parity at serving strides, evict/restore round-trips (and driver /
+// engine checkpoint interchange), degradation isolation between
+// co-hosted tenants, the request-protocol contract and input checks,
+// calls on ended sessions, and concurrent shard traffic (the TSan
+// target).
 
 #include "alamr/core/serve.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "alamr/core/online.hpp"
+#include "alamr/core/trace.hpp"
 
 namespace {
 
@@ -60,6 +69,17 @@ SessionOptions session_options(std::uint64_t seed, std::size_t stride = 1) {
   options.seed = seed;
   options.retrain_stride = stride;
   return options;
+}
+
+/// An empty scratch directory private to this process: ctest runs this
+/// binary's cases concurrently with the whole-binary threads4 run.
+std::filesystem::path fresh_dir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      (name + "_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 /// Drives one session to completion on the calling thread (the
@@ -236,10 +256,7 @@ TEST(ServeEvictRestore, MidRunByteIdentity) {
   drive_sync(reference_engine, 1);
   const OnlineResult reference = reference_engine.finish_session(1);
 
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "alamr_serve_evict";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::filesystem::path dir = fresh_dir("alamr_serve_evict");
   SessionOptions options = session_options(kSeed, kStride);
   options.checkpoint = dir / "tenant1.ck";
 
@@ -260,6 +277,248 @@ TEST(ServeEvictRestore, MidRunByteIdentity) {
   const OnlineResult resumed = engine.finish_session(1);
   expect_same_records(reference.records, resumed.records);
   expect_same_posterior(reference, resumed, grid);
+  std::filesystem::remove_all(dir);
+}
+
+// restore_session onto an id that is already open fails before anything
+// is loaded or scheduled. The checkpoint here closed its init phase by
+// draining the grid (59 observes + 2 failures for n_init = 60), so a
+// restore would schedule the one-time initial fit at once — on a session
+// the failed insert then discards while the retrain job still runs. The
+// open session must carry on as if the call never happened.
+TEST(ServeEvictRestore, RestoreOntoOpenIdThrowsBeforeLoading) {
+  const bool was_enabled = trace::enabled();
+  trace::set_enabled(true);
+  Matrix grid(61, 2);
+  for (std::size_t i = 0; i < grid.rows(); ++i) {
+    grid(i, 0) = static_cast<double>(i) / 60.0;
+    grid(i, 1) = static_cast<double>((i * 7) % 61) / 60.0;
+  }
+  const RandUniform strategy;
+  SessionOptions options = session_options(5);
+  options.al.n_init = 60;
+  options.al.iterations = 1;
+  const auto drain_init = [&](SessionEngine& engine) {
+    for (std::size_t step = 0;; ++step) {
+      const Suggestion s = engine.suggest(1);
+      if (s.done || !s.initial_phase) return;
+      if (step == 10 || step == 40) {
+        engine.observe_failure(1);
+        continue;
+      }
+      const auto [cost, memory] = synthetic_oracle(s.features);
+      engine.observe(1, cost, memory);
+    }
+  };
+
+  SessionEngine reference_engine({.retrain_workers = 2});
+  reference_engine.open_session(1, grid, strategy, options);
+  drain_init(reference_engine);
+  const OnlineResult reference = reference_engine.finish_session(1);
+  ASSERT_EQ(reference.records.size(), 59u);
+
+  const std::filesystem::path dir = fresh_dir("alamr_serve_dup_restore");
+  options.checkpoint = dir / "tenant1.ck";
+  SessionEngine engine({.retrain_workers = 2});
+  engine.open_session(1, grid, strategy, options);
+  drain_init(engine);
+  engine.checkpoint_session(1);
+  EXPECT_THROW(engine.restore_session(1, grid, strategy, options),
+               OnlineContractError);
+  EXPECT_EQ(engine.session_count(), 1u);
+  EXPECT_TRUE(engine.suggest(1).done);
+  const OnlineResult got = engine.finish_session(1);
+  expect_same_records(reference.records, got.records);
+  expect_same_posterior(reference, got, grid);
+  std::filesystem::remove_all(dir);
+  trace::set_enabled(was_enabled);
+}
+
+// Driver checkpoints and engine checkpoints share one format: a halted
+// driver run continues inside the engine, and an engine checkpoint
+// resumes in the driver, both byte-identical to the uninterrupted run.
+TEST(ServeEvictRestore, DriverAndEngineCheckpointsRestoreIntoEachOther) {
+  const Matrix grid = unit_grid(5);
+  const MaxSigma strategy;
+  constexpr std::uint64_t kSeed = 44;
+  const auto driver_run = [&](const CheckpointConfig* checkpoint) {
+    OnlineAlDriver driver(grid, synthetic_oracle, fast_al());
+    Rng rng(kSeed);
+    return driver.run(strategy, rng, checkpoint);
+  };
+  const OnlineResult reference = driver_run(nullptr);
+
+  const std::filesystem::path dir = fresh_dir("alamr_serve_cross");
+  SessionOptions options = session_options(kSeed);
+
+  // Driver -> engine.
+  CheckpointConfig halt;
+  halt.path = dir / "from_driver.ck";
+  halt.stride = 2;
+  halt.halt_after_iterations = 4;
+  ASSERT_TRUE(driver_run(&halt).halted_at_checkpoint);
+  options.checkpoint = halt.path;
+  SessionEngine engine({.retrain_workers = 1});
+  engine.restore_session(1, grid, strategy, options);
+  drive_sync(engine, 1);
+  const OnlineResult continued = engine.finish_session(1);
+  expect_same_records(reference.records, continued.records);
+  expect_same_posterior(reference, continued, grid);
+
+  // Engine -> driver.
+  options.checkpoint = dir / "from_engine.ck";
+  engine.open_session(2, grid, strategy, options);
+  for (int step = 0; step < 5; ++step) {
+    const Suggestion s = engine.suggest(2);
+    ASSERT_FALSE(s.done);
+    const auto [cost, memory] = synthetic_oracle(s.features);
+    engine.observe(2, cost, memory);
+  }
+  engine.evict_session(2);
+  CheckpointConfig resume;
+  resume.path = options.checkpoint;
+  resume.resume = true;
+  const OnlineResult resumed = driver_run(&resume);
+  expect_same_records(reference.records, resumed.records);
+  expect_same_posterior(reference, resumed, grid);
+  std::filesystem::remove_all(dir);
+}
+
+// Every entry point rejects a NaN or infinite grid feature up front,
+// before it reaches the scaler or the kernel.
+TEST(ServeEngine, OpenSessionRejectsNonFiniteGrid) {
+  const RandUniform strategy;
+  SessionEngine engine({.retrain_workers = 0});
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Matrix grid = unit_grid(4);
+    grid(5, 1) = bad;
+    EXPECT_THROW(engine.open_session(1, grid, strategy, session_options(3)),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(engine.session_count(), 0u);
+}
+
+TEST(ServeEvictRestore, RestoreSessionRejectsNonFiniteGrid) {
+  const RandUniform strategy;
+  SessionOptions options = session_options(3);
+  options.checkpoint =
+      std::filesystem::path(::testing::TempDir()) / "alamr_serve_nan.ck";
+  SessionEngine engine({.retrain_workers = 0});
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    Matrix grid = unit_grid(4);
+    grid(0, 0) = bad;
+    EXPECT_THROW(engine.restore_session(1, grid, strategy, options),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(engine.session_count(), 0u);
+}
+
+// A non-finite query feature is a contract error, raised before the
+// scaler or a model is touched, on both the synchronous and the queued
+// path; the session's trajectory is unaffected.
+TEST(ServeEngine, NonFiniteQueryIsRejectedWithoutSideEffects) {
+  const Matrix grid = unit_grid(4);
+  const RandUniform strategy;
+  SessionEngine clean({.retrain_workers = 1});
+  clean.open_session(1, grid, strategy, session_options(8));
+  drive_sync(clean, 1);
+  const OnlineResult reference = clean.finish_session(1);
+
+  SessionEngine engine({.retrain_workers = 1});
+  engine.open_session(1, grid, strategy, session_options(8));
+  for (std::size_t step = 0;; ++step) {
+    const Suggestion s = engine.suggest(1);
+    if (s.done) break;
+    const auto [cost, memory] = synthetic_oracle(s.features);
+    engine.observe(1, cost, memory);
+    if (step == 3) {
+      Matrix bad = grid;
+      bad(2, 0) = std::numeric_limits<double>::quiet_NaN();
+      EXPECT_THROW(engine.query_posterior(1, bad), OnlineContractError);
+      bad(2, 0) = std::numeric_limits<double>::infinity();
+      engine.enqueue_query(1, bad);
+      EXPECT_THROW(engine.drain(), OnlineContractError);
+      EXPECT_FALSE(engine.take_query_result(1).has_value());
+      EXPECT_EQ(engine.query_posterior(1, grid).cost.mean.size(),
+                grid.rows());
+    }
+  }
+  expect_same_records(reference.records, engine.finish_session(1).records);
+}
+
+// After close_session, finish_session or evict_session the id is gone:
+// every call on it throws std::invalid_argument. A second evict leaves
+// the first one's frames byte-unchanged, and the evicted session still
+// restores and finishes byte-identically.
+TEST(ServeLifecycle, CallsOnEndedSessionsThrowInvalidArgument) {
+  const Matrix grid = unit_grid(4);
+  const RandUniform strategy;
+  SessionEngine reference_engine({.retrain_workers = 0});
+  reference_engine.open_session(1, grid, strategy, session_options(17));
+  drive_sync(reference_engine, 1);
+  const OnlineResult reference = reference_engine.finish_session(1);
+
+  const std::filesystem::path dir = fresh_dir("alamr_serve_lifecycle");
+  const auto frames = [&dir] {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      out.emplace_back(entry.path().filename().string(),
+                       std::string(std::istreambuf_iterator<char>(in), {}));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto expect_gone = [&](SessionEngine& engine, SessionId id) {
+    EXPECT_THROW(engine.suggest(id), std::invalid_argument);
+    EXPECT_THROW(engine.observe(id, 1.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(engine.observe_failure(id), std::invalid_argument);
+    EXPECT_THROW(engine.query_posterior(id, grid), std::invalid_argument);
+    EXPECT_THROW(engine.enqueue_suggest(id), std::invalid_argument);
+    EXPECT_THROW(engine.enqueue_observe(id, 1.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(engine.enqueue_observe_failure(id), std::invalid_argument);
+    EXPECT_THROW(engine.enqueue_query(id, grid), std::invalid_argument);
+    EXPECT_THROW(engine.take_suggestion(id), std::invalid_argument);
+    EXPECT_THROW(engine.status(id), std::invalid_argument);
+    EXPECT_THROW(engine.session_trace(id), std::invalid_argument);
+    EXPECT_THROW(engine.checkpoint_session(id), std::invalid_argument);
+    EXPECT_THROW(engine.close_session(id), std::invalid_argument);
+    EXPECT_THROW(engine.finish_session(id), std::invalid_argument);
+    const auto before = frames();
+    EXPECT_THROW(engine.evict_session(id), std::invalid_argument);
+    EXPECT_EQ(frames(), before);
+  };
+  const auto advance = [&](SessionEngine& engine, SessionId id) {
+    for (int step = 0; step < 4; ++step) {
+      const Suggestion s = engine.suggest(id);
+      ASSERT_FALSE(s.done);
+      const auto [cost, memory] = synthetic_oracle(s.features);
+      engine.observe(id, cost, memory);
+    }
+  };
+
+  SessionEngine engine({.retrain_workers = 1});
+  SessionOptions options = session_options(17);
+  options.checkpoint = dir / "tenant.ck";
+  for (const SessionId id : {SessionId{1}, SessionId{2}, SessionId{3}}) {
+    engine.open_session(id, grid, strategy, options);
+    advance(engine, id);
+  }
+  engine.close_session(1);
+  expect_gone(engine, 1);
+  engine.finish_session(2);
+  expect_gone(engine, 2);
+  engine.evict_session(3);
+  ASSERT_FALSE(frames().empty());
+  expect_gone(engine, 3);
+  EXPECT_EQ(engine.session_count(), 0u);
+
+  engine.restore_session(3, grid, strategy, options);
+  drive_sync(engine, 3);
+  expect_same_records(reference.records, engine.finish_session(3).records);
   std::filesystem::remove_all(dir);
 }
 

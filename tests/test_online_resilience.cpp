@@ -362,6 +362,42 @@ TEST(OnlineCheckpointResume, HaltAndResumeMatchesUninterruptedRunByteForByte) {
   remove_online_checkpoint(path);
 }
 
+TEST(OnlineCheckpointResume, ResumeFromInitBoundaryStrideSaveMatches) {
+  // The stride save that lands on the last initial-phase record is taken
+  // after the one-time initial fit, so resuming from it (here: the newest
+  // generation is lost) must not skip that fit.
+  const auto reference = [] {
+    OnlineAlDriver driver(unit_grid(8), synthetic_oracle, fast_options(3, 8));
+    Rng rng(23);
+    return driver.run(RandGoodness(), rng);
+  }();
+
+  const std::filesystem::path path =
+      online_ckpt_path("alamr_online_init_boundary.ckpt");
+  CheckpointConfig cfg;
+  cfg.path = path;
+  cfg.stride = 3;
+  cfg.halt_after_iterations = 3;
+  {
+    OnlineAlDriver driver(unit_grid(8), synthetic_oracle, fast_options(3, 8));
+    Rng rng(23);
+    EXPECT_TRUE(driver.run(RandGoodness(), rng, &cfg).halted_at_checkpoint);
+  }
+  // Drop the halt save: the record-3 stride save becomes the newest.
+  const std::filesystem::path older = std::filesystem::path(path).concat(".1");
+  ASSERT_TRUE(std::filesystem::exists(older));
+  std::filesystem::remove(path);
+  std::filesystem::rename(older, path);
+
+  cfg.resume = true;
+  cfg.halt_after_iterations = 0;
+  OnlineAlDriver driver(unit_grid(8), synthetic_oracle, fast_options(3, 8));
+  Rng rng(5);
+  const OnlineResult resumed = driver.run(RandGoodness(), rng, &cfg);
+  EXPECT_EQ(records_to_string(resumed), records_to_string(reference));
+  remove_online_checkpoint(path);
+}
+
 TEST(OnlineCheckpointResume, ResumeSurvivesTornFinalSave) {
   // The halt-point save (the newest, most advanced generation) is torn
   // mid-write; resume must quarantine it, fall back to the previous
