@@ -20,6 +20,7 @@
 #include "alamr/linalg/simd.hpp"
 #include "alamr/linalg/workspace.hpp"
 #include "alamr/stats/rng.hpp"
+#include "reference_cholesky.hpp"
 #include "synthetic_dataset.hpp"
 
 // P5 — BM_ArenaPass reports heap allocations per AL pass, so this binary
@@ -161,7 +162,7 @@ void BM_BlockedCholesky(benchmark::State& state) {
   const auto a = random_spd(static_cast<std::size_t>(state.range(0)), rng);
   for (auto _ : state) {
     auto factor = blocked ? linalg::CholeskyFactor::factor(a)
-                          : linalg::CholeskyFactor::factor_reference(a);
+                          : test_reference::factor_reference(a);
     benchmark::DoNotOptimize(factor);
   }
 }
@@ -179,7 +180,8 @@ void BM_CholeskyInverse(benchmark::State& state) {
   const auto a = random_spd(static_cast<std::size_t>(state.range(0)), rng);
   const auto factor = *linalg::CholeskyFactor::factor(a);
   for (auto _ : state) {
-    auto inv = blocked ? factor.inverse() : factor.inverse_reference();
+    auto inv = blocked ? factor.inverse()
+                       : test_reference::inverse_reference(factor);
     benchmark::DoNotOptimize(inv);
   }
 }
@@ -224,10 +226,10 @@ void BM_RefitObjective(benchmark::State& state) {
     std::vector<linalg::Matrix> gradients;
     const linalg::Matrix k = probe.gram_with_gradients_cached(
         gp::PairwiseDistances::train(x), gradients);
-    const auto factor = linalg::CholeskyFactor::factor_reference(k);
+    const auto factor = test_reference::factor_reference(k);
     const linalg::Vector alpha = factor->solve(yc);
     double lml = -0.5 * linalg::dot(yc, alpha) - 0.5 * factor->log_det();
-    const linalg::Matrix k_inv = factor->inverse_reference();
+    const linalg::Matrix k_inv = test_reference::inverse_reference(*factor);
     for (std::size_t j = 0; j < gradients.size(); ++j) {
       const linalg::Matrix& dk = gradients[j];
       double trace = 0.0;
@@ -284,7 +286,7 @@ void BM_RefitObjectiveValue(benchmark::State& state) {
     probe.set_log_params(theta);
     const linalg::Matrix k =
         probe.gram_cached(gp::PairwiseDistances::train(x));
-    const auto factor = linalg::CholeskyFactor::factor_reference(k);
+    const auto factor = test_reference::factor_reference(k);
     const linalg::Vector alpha = factor->solve(yc);
     double lml = -0.5 * linalg::dot(yc, alpha) - 0.5 * factor->log_det();
     benchmark::DoNotOptimize(lml);

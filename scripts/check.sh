@@ -64,6 +64,11 @@
 #                    resumed process to quarantine the torn frame and
 #                    reproduce the uninterrupted experiment log byte for
 #                    byte
+#  14. perfbench   — `perfbench/run.py --self-test`, then every workload
+#                    at seed 1 (its own 25 s, ALAMR_SIMD_LEVEL=scalar)
+#                    whose `# digest:` line must equal the recorded value:
+#                    the offline workloads run AlSimulator::run_trajectory,
+#                    so a moved digest is a trajectory that moved bits
 #
 # Finally an explicit golden gate re-runs the golden-trajectory byte
 # comparisons (the one posterior path, at 1 and 4 lanes internally, plus
@@ -292,6 +297,31 @@ run_resilience torn 1 'io.torn_write:hits=2'
 run_resilience torn4 4 'io.torn_write:hits=2'
 run_resilience read 1 'io.partial_read:hits=0' 'LegacyBareJson'
 run_resilience read4 4 'io.partial_read:hits=0' 'LegacyBareJson'
+
+# Perfbench gate: the benchmark's own self-test, then each workload's
+# seed-1 digest (an FNV-1a over the record streams of its quality rounds,
+# independent of timing) at the scalar tier against the value recorded
+# for it. Built and run from this checkout's perfbench/ (.bench_build/).
+echo "=== [perfbench] self-test + seed-1 digests (ALAMR_SIMD_LEVEL=scalar) ==="
+python3 perfbench/run.py --self-test > /tmp/check_perfbench.log 2>&1 || {
+  tail -50 /tmp/check_perfbench.log
+  echo "FAILED: perfbench self-test (full log: /tmp/check_perfbench.log)"
+  exit 1
+}
+for pin in paper_refit=29afd3de05c35674 wide_pool=ebf32fe833578c03 \
+           serve_tenants=ce2a136abe809a65; do
+  workload="${pin%%=*}"
+  want="${pin#*=}"
+  got="$(ALAMR_SIMD_LEVEL=scalar python3 perfbench/run.py --workload "$workload" \
+    --seed 1 --seconds 25 --trace 0 2>>/tmp/check_perfbench.log |
+    sed -n 's/^# digest: //p')" || true
+  if [[ "$got" != "$want" ]]; then
+    tail -50 /tmp/check_perfbench.log
+    echo "FAILED: perfbench $workload digest '$got', expected '$want' (full log: /tmp/check_perfbench.log)"
+    exit 1
+  fi
+  echo "$workload digest $got"
+done
 
 # Bench-trend gate: fresh optimized-arm medians for the gate benchmarks
 # must stay within 10% of the BENCH_PR*.json records. The records carry

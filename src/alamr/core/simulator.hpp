@@ -307,8 +307,13 @@ class AlSimulator {
   /// `batch_size` candidates WITHOUT intermediate model updates (already
   /// selected candidates are just excluded from the view), then reveals
   /// all of them and retrains once. Less greedy than one-at-a-time but
-  /// needs 1/batch_size as many scheduling rounds. Records carry the
-  /// global selection index; a round's records share the same post-round
+  /// needs 1/batch_size as many scheduling rounds. The round runs the
+  /// same loop as run_with_partition (batch_size 1 is bit-identical to
+  /// it apart from the name), so the failure model, fault plans, the
+  /// resilience layer and the stopping rule apply per pick or per round
+  /// as they do there; a censored pick takes its slot in the round.
+  /// Records carry the global selection index and the pool size at the
+  /// start of their round; a round's records share the same post-round
   /// RMSE. max_iterations counts selections, not rounds.
   TrajectoryResult run_batched(const Strategy& strategy,
                                std::size_t batch_size,
@@ -322,10 +327,14 @@ class AlSimulator {
  private:
   gp::Kernel make_kernel() const;
 
-  /// The trajectory driver behind run_with_partition and run_resumable
-  /// (checkpoint == nullptr disables checkpointing entirely; shared ==
-  /// nullptr recomputes every distance cache locally).
+  /// The one trajectory loop behind every run* entry point. Each round
+  /// predicts once, picks up to `round_size` candidates from that frozen
+  /// posterior, retrains once and evaluates once; round_size 1 is
+  /// Algorithm 1 (checkpoint == nullptr disables checkpointing entirely;
+  /// shared == nullptr recomputes every distance cache locally).
   TrajectoryResult run_trajectory(const Strategy& strategy,
+                                  std::string strategy_name,
+                                  std::size_t round_size,
                                   const data::Partition& partition,
                                   stats::Rng& rng,
                                   const CheckpointConfig* checkpoint,

@@ -6,6 +6,7 @@
 // MaxRSS memory in MB).
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "alamr/linalg/matrix.hpp"
@@ -36,5 +37,11 @@ struct Dataset {
   /// Design-matrix restricted to the given rows.
   Matrix design_subset(std::span<const std::size_t> rows) const;
 };
+
+/// Throws std::invalid_argument("<who>: non-finite feature in <what>") when
+/// any entry of `x` is NaN or infinite: such a feature would reach the
+/// scaler and the kernel, which have no meaning for it.
+void require_finite_features(const Matrix& x, std::string_view who,
+                             std::string_view what);
 
 }  // namespace alamr::data

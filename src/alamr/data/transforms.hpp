@@ -15,7 +15,8 @@ namespace alamr::data {
 
 using linalg::Matrix;
 
-/// Elementwise log10. Throws std::invalid_argument on non-positive input.
+/// Elementwise log10. Throws std::invalid_argument on non-positive or
+/// non-finite input.
 std::vector<double> log10_transform(std::span<const double> values);
 
 /// Elementwise 10^v — inverse of log10_transform; output always positive.

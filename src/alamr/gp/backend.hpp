@@ -163,7 +163,8 @@ class PosteriorBackend {
       const Matrix& x, std::span<const std::size_t> rows = {}) = 0;
 
   /// Full posterior at arbitrary query points, no candidate-pool caching
-  /// (run_batched and direct library use).
+  /// (session posterior queries and direct library use; every AL loop
+  /// sweeps its candidates through predict_candidates).
   virtual Prediction predict(const Matrix& x) const = 0;
 
   /// Log marginal likelihood of the backend's training data at its

@@ -32,12 +32,14 @@ class CholeskyFactor {
   /// entry still receives its k-contributions strictly in ascending order
   /// — first from earlier panels' trailing updates (ascending block by
   /// block), then from its own panel — so the result is bit-identical to
-  /// the unblocked left-looking factor_reference().
+  /// the unblocked left-looking textbook factorization (the tests'
+  /// reference, tests/reference_cholesky.hpp).
   static std::optional<CholeskyFactor> factor(const Matrix& a);
 
-  /// Textbook unblocked left-looking factorization. Kept as the validation
-  /// and benchmark baseline for factor(); identical results bit-for-bit.
-  static std::optional<CholeskyFactor> factor_reference(const Matrix& a);
+  /// Adopts an already computed lower-triangular factor as is (no checks).
+  static CholeskyFactor from_lower(Matrix l) {
+    return CholeskyFactor(std::move(l));
+  }
 
   std::size_t size() const noexcept { return l_.rows(); }
   const Matrix& lower() const noexcept { return l_; }
@@ -118,14 +120,9 @@ class CholeskyFactor {
   /// substitution whose inner loops are contiguous over the panel, so the
   /// factor is streamed once per panel instead of once per column. Per
   /// scalar the operations (and therefore the bits) are exactly those of
-  /// the column-at-a-time inverse_reference(); only the lower triangle is
-  /// computed and mirrored.
+  /// the column-at-a-time textbook inverse (tests/reference_cholesky.hpp);
+  /// only the lower triangle is computed and mirrored.
   Matrix inverse() const;
-
-  /// Unblocked column-by-column inverse (one scratch vector, zero-prefix
-  /// forward solves). Kept as the validation and benchmark baseline for
-  /// inverse(); identical results bit-for-bit.
-  Matrix inverse_reference() const;
 
   /// log|A| = 2 * sum_i log L_ii (the model-complexity term of Eq. 8).
   double log_det() const;

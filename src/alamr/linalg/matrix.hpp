@@ -132,6 +132,14 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// New matrix holding rows `rows` of `x`, in order.
+Matrix gather_rows(const Matrix& x, std::span<const std::size_t> rows);
+
+/// gather_rows() into `out`: same values, no allocation within the
+/// capacity `out` already has.
+void gather_rows_into(const Matrix& x, std::span<const std::size_t> rows,
+                      Matrix& out);
+
 // ---- vector kernels -------------------------------------------------------
 //
 // Inline: these are the innermost loops of every kernel-matrix build and

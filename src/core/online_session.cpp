@@ -6,22 +6,12 @@
 #include <stdexcept>
 
 #include "alamr/core/metrics.hpp"
+#include "alamr/data/dataset.hpp"
 #include "alamr/gp/kernels.hpp"
 
 namespace alamr::core {
 
 namespace {
-
-linalg::Matrix gather_rows(const linalg::Matrix& src,
-                           std::span<const std::size_t> rows) {
-  linalg::Matrix out(rows.size(), src.cols());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t c = 0; c < src.cols(); ++c) {
-      out(r, c) = src(rows[r], c);
-    }
-  }
-  return out;
-}
 
 gp::BackendKind active_kind(const gp::PosteriorBackend& model,
                             resilience::Health& health) {
@@ -47,10 +37,7 @@ void validate_online_setup(const linalg::Matrix& grid,
     throw std::invalid_argument(std::string(who) + ": " + what);
   };
   if (grid.rows() == 0) fail("empty candidate grid");
-  // A NaN or infinite feature would reach the scaler and the kernel.
-  for (const double v : grid.data()) {
-    if (!std::isfinite(v)) fail("non-finite feature in the candidate grid");
-  }
+  data::require_finite_features(grid, who, "the candidate grid");
   if (options.n_init == 0) fail("n_init must be >= 1");
   if (options.n_init + options.iterations > grid.rows()) {
     fail("grid smaller than n_init + iterations");
@@ -60,7 +47,7 @@ void validate_online_setup(const linalg::Matrix& grid,
 void Refit::run() {
   std::optional<faults::ScopedFaultInjector> scope;
   if (injector) scope.emplace(*injector);
-  const linalg::Matrix x = gather_rows(ctx->grid_scaled, rows);
+  const linalg::Matrix x = linalg::gather_rows(ctx->grid_scaled, rows);
   cost->set_fit_options(fit);
   mem->set_fit_options(fit);
   cost->fit(x, log_cost, rng, ctx->base(), rows);
@@ -192,7 +179,7 @@ Suggestion OnlineSession::suggest() {
   } else {
     // Panel sweep over the shared-context pool: O(M·n) resume between
     // refits, bit-identical to a fresh predict() sweep.
-    x_active_ = gather_rows(ctx_->grid_scaled, remaining_);
+    linalg::gather_rows_into(ctx_->grid_scaled, remaining_, x_active_);
     linalg::Workspace::Scope scope(*ws_);
     const gp::CandidateRef pool{x_active_, remaining_};
     // Strategies that never read candidate means (MaxSigma, RandUniform)
@@ -251,7 +238,7 @@ void OnlineSession::observe(double cost, double memory) {
   // with the panel appended through the after-pool ref.
   std::optional<gp::CandidateRef> after;
   if (!remaining_.empty()) {
-    x_active_ = gather_rows(ctx_->grid_scaled, remaining_);
+    linalg::gather_rows_into(ctx_->grid_scaled, remaining_, x_active_);
     after.emplace(gp::CandidateRef{x_active_, remaining_});
   }
   const gp::CandidateRef* after_ptr = after ? &*after : nullptr;
@@ -414,7 +401,7 @@ void OnlineSession::restore(const OnlineCheckpoint& saved) {
   model_cost_->set_log_params(saved.theta_cost);
   model_mem_->set_log_params(saved.theta_mem);
   if (!visited_.empty()) {
-    const linalg::Matrix x = gather_rows(ctx_->grid_scaled, visited_);
+    const linalg::Matrix x = linalg::gather_rows(ctx_->grid_scaled, visited_);
     model_cost_->fit(x, log_cost_, rng_, ctx_->base(), visited_);
     model_mem_->fit(x, log_mem_, rng_, ctx_->base(), visited_);
   }

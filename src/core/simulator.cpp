@@ -1,8 +1,10 @@
 #include "alamr/core/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "alamr/core/checkpoint.hpp"
 #include "alamr/core/metrics.hpp"
@@ -13,32 +15,11 @@ namespace alamr::core {
 
 namespace {
 
-/// Gathers rows of a matrix into a new matrix.
-linalg::Matrix gather_rows(const linalg::Matrix& x,
-                           std::span<const std::size_t> rows) {
-  linalg::Matrix out(rows.size(), x.cols());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t c = 0; c < x.cols(); ++c) out(r, c) = x(rows[r], c);
-  }
-  return out;
-}
-
 std::vector<double> gather(std::span<const double> values,
                            std::span<const std::size_t> rows) {
   std::vector<double> out(rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) out[r] = values[rows[r]];
   return out;
-}
-
-/// Refills `out` with the given rows of `x` in place: same values as a
-/// freshly gathered matrix, no allocation within reserved capacity.
-void gather_rows_into(const linalg::Matrix& x,
-                      std::span<const std::size_t> rows, linalg::Matrix& out) {
-  out.resize_discard(rows.size(), x.cols());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const auto src = x.row(rows[r]);
-    std::copy(src.begin(), src.end(), out.row(r).begin());
-  }
 }
 
 }  // namespace
@@ -77,6 +58,7 @@ std::string to_string(CensorPolicy policy) {
 AlSimulator::AlSimulator(const data::Dataset& dataset, AlOptions options)
     : dataset_(dataset), options_(std::move(options)) {
   dataset_.validate();
+  data::require_finite_features(dataset_.x, "AlSimulator", "the dataset");
   if (dataset_.size() < options_.n_test + options_.n_init + 1) {
     throw std::invalid_argument("AlSimulator: dataset too small for partition");
   }
@@ -221,7 +203,8 @@ TrajectoryResult AlSimulator::run_with_partition(const Strategy& strategy,
                                                  const data::Partition& partition,
                                                  stats::Rng& rng,
                                                  const SharedBatchContext* shared) const {
-  return run_trajectory(strategy, partition, rng, nullptr, shared);
+  return run_trajectory(strategy, strategy.name(), 1, partition, rng, nullptr,
+                        shared);
 }
 
 TrajectoryResult AlSimulator::run_resumable(const Strategy& strategy,
@@ -229,10 +212,25 @@ TrajectoryResult AlSimulator::run_resumable(const Strategy& strategy,
                                             stats::Rng& rng,
                                             const CheckpointConfig& checkpoint,
                                             const SharedBatchContext* shared) const {
-  return run_trajectory(strategy, partition, rng, &checkpoint, shared);
+  return run_trajectory(strategy, strategy.name(), 1, partition, rng,
+                        &checkpoint, shared);
+}
+
+TrajectoryResult AlSimulator::run_batched(const Strategy& strategy,
+                                          std::size_t batch_size,
+                                          const data::Partition& partition,
+                                          stats::Rng& rng) const {
+  if (batch_size == 0) {
+    throw std::invalid_argument("run_batched: batch_size must be >= 1");
+  }
+  return run_trajectory(
+      strategy, strategy.name() + " (batch=" + std::to_string(batch_size) + ")",
+      batch_size, partition, rng, nullptr, nullptr);
 }
 
 TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
+                                             std::string strategy_name,
+                                             std::size_t round_size,
                                              const data::Partition& partition,
                                              stats::Rng& rng,
                                              const CheckpointConfig* checkpoint,
@@ -249,7 +247,7 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
         "dataset");
   }
   TrajectoryResult result;
-  result.strategy_name = strategy.name();
+  result.strategy_name = std::move(strategy_name);
   result.partition = partition;
   result.memory_limit_mb = memory_limit_mb();
 
@@ -288,20 +286,32 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
       fingerprint + "|plan=" +
       (plan_source != nullptr ? plan_source->to_string() : std::string());
 
-  std::optional<TrajectoryCheckpoint> resumed;
+  // The loop's carried state is the checkpoint payload: a snapshot only
+  // adds the models' theta/state, the rng and the fault counters, and a
+  // resume is one assignment.
+  TrajectoryCheckpoint state;
+  bool resumed = false;
   if (checkpoint != nullptr && checkpoint->resume && !checkpoint->path.empty()) {
-    resumed = load_checkpoint(checkpoint->path, checkpoint->retain);
-    if (resumed && resumed->fingerprint != compat) {
-      throw std::runtime_error(
-          "run_resumable: checkpoint at " + checkpoint->path.string() +
-          " was written by an incompatible configuration (fingerprint "
-          "mismatch); refusing to resume");
+    if (std::optional<TrajectoryCheckpoint> loaded =
+            load_checkpoint(checkpoint->path, checkpoint->retain)) {
+      if (loaded->fingerprint != compat) {
+        throw std::runtime_error(
+            "run_resumable: checkpoint at " + checkpoint->path.string() +
+            " was written by an incompatible configuration (fingerprint "
+            "mismatch); refusing to resume");
+      }
+      state = std::move(*loaded);
+      resumed = true;
+      trace::count("sim.resumed");
     }
-    if (resumed) trace::count("sim.resumed");
   }
+  // Rows are handed to the backends as size_t spans.
+  static_assert(std::is_same_v<std::uint64_t, std::size_t>);
+  std::vector<std::size_t>& learned = state.learned;
+  std::vector<std::size_t>& active = state.active;
 
   // Test set fixtures (original units for Eq. 10).
-  const linalg::Matrix x_test = gather_rows(x_scaled_, partition.test);
+  const linalg::Matrix x_test = linalg::gather_rows(x_scaled_, partition.test);
   const std::vector<double> cost_test = gather(dataset_.cost, partition.test);
   const std::vector<double> mem_test = gather(dataset_.memory, partition.test);
 
@@ -322,60 +332,49 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
   gp::ResilientBackend* const resilient_mem =
       dynamic_cast<gp::ResilientBackend*>(backend_mem.get());
 
-  std::vector<std::size_t> learned;
-  std::vector<std::size_t> active;
-  std::vector<double> c_learned;
-  std::vector<double> m_learned;
-  linalg::Matrix x_learned;
-
   if (!resumed) {
+    state.fingerprint = compat;
     learned = partition.init;  // Init + selected rows
     active = partition.active;
-    x_learned = gather_rows(x_scaled_, learned);
-    c_learned = gather(log_cost_, learned);
-    m_learned = gather(log_mem_, learned);
-    {
-      const trace::ScopedTimer timer("init");
-      backend_cost->fit(x_learned, c_learned, rng, base, learned);
-      backend_mem->fit(x_learned, m_learned, rng, base, learned);
-    }
+    state.c_learned = gather(log_cost_, learned);
+    state.m_learned = gather(log_mem_, learned);
   } else {
-    // Rebuild the exact mid-trajectory state: training set and labels
-    // (penalized labels included) from the checkpoint, backends refit AT
-    // the saved hyperparameters with optimization disabled (no rng draws)
-    // — the posterior is a pure function of (X, y, theta) plus any opaque
+    // Rebuild the exact mid-trajectory state: backends refit AT the saved
+    // hyperparameters with optimization disabled (no rng draws) on the
+    // saved training set and labels (penalized labels included) — the
+    // posterior is a pure function of (X, y, theta) plus any opaque
     // backend state (restored first), and the full rebuild produces the
     // same bits the live incremental path had (golden-tested), so the
     // continuation cannot diverge.
-    learned.assign(resumed->learned.begin(), resumed->learned.end());
-    active.assign(resumed->active.begin(), resumed->active.end());
-    c_learned = resumed->c_learned;
-    m_learned = resumed->m_learned;
-    x_learned = gather_rows(x_scaled_, learned);
     gp::GprOptions rebuild = options_.refit;
     rebuild.optimize = false;
     backend_cost->set_fit_options(rebuild);
     backend_mem->set_fit_options(rebuild);
-    if (!resumed->backend_state_cost.empty()) {
-      backend_cost->restore_state(resumed->backend_state_cost);
+    if (!state.backend_state_cost.empty()) {
+      backend_cost->restore_state(state.backend_state_cost);
     }
-    if (!resumed->backend_state_mem.empty()) {
-      backend_mem->restore_state(resumed->backend_state_mem);
+    if (!state.backend_state_mem.empty()) {
+      backend_mem->restore_state(state.backend_state_mem);
     }
-    backend_cost->set_log_params(resumed->theta_cost);
-    backend_mem->set_log_params(resumed->theta_mem);
-    {
-      const trace::ScopedTimer timer("init");
-      backend_cost->fit(x_learned, c_learned, rng, base, learned);
-      backend_mem->fit(x_learned, m_learned, rng, base, learned);
-    }
-    rng.restore_state(resumed->rng);
-    if (injector) {
-      injector->restore_counters(resumed->fault_hits, resumed->fault_fires);
-    }
+    backend_cost->set_log_params(state.theta_cost);
+    backend_mem->set_log_params(state.theta_mem);
+  }
+  {
+    const linalg::Matrix x_learned = linalg::gather_rows(x_scaled_, learned);
+    const trace::ScopedTimer timer("init");
+    backend_cost->fit(x_learned, state.c_learned, rng, base, learned);
+    backend_mem->fit(x_learned, state.m_learned, rng, base, learned);
+  }
+  if (resumed) {
+    rng.restore_state(state.rng);
+    if (injector) injector->restore_counters(state.fault_hits, state.fault_fires);
   }
   backend_cost->set_fit_options(options_.refit);
   backend_mem->set_fit_options(options_.refit);
+  // Within a round of size > 1 every trained point but the last is a
+  // one-row extend at fixed theta; the last one refits.
+  gp::GprOptions extend = options_.refit;
+  extend.optimize = false;
 
   // Test predictions in log space are reused by both the RMSE metric and
   // the stabilizing-predictions stopping rule. Each backend routes the
@@ -392,49 +391,28 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
     if (mu_log_out != nullptr) *mu_log_out = std::move(mu_log);
     return err;
   };
-  std::vector<double> previous_cost_mu_log;
-  std::size_t stable_streak = 0;
-  // Cost-weighted RMSE (Eq. 12): weight each test residual by the test
-  // sample's actual cost.
-  const auto weighted = [&](std::span<const double> mu_log) {
-    return weighted_rmse(data::exp10_transform(mu_log), cost_test, cost_test);
+  // Test RMSEs of the current models (Eq. 10 and the cost-weighted
+  // Eq. 12, each test residual weighted by the sample's actual cost).
+  const auto evaluate = [&] {
+    const trace::ScopedTimer timer("rmse");
+    state.last_rmse_cost = test_rmse(*backend_cost, cost_test, &cost_mu_log);
+    state.last_rmse_mem = test_rmse(*backend_mem, mem_test);
+    state.last_rmse_weighted =
+        weighted_rmse(data::exp10_transform(cost_mu_log), cost_test, cost_test);
   };
-  double last_rmse_cost_weighted = 0.0;
-  double cc = 0.0;
-  double cr = 0.0;
-  double last_rmse_cost = 0.0;
-  double last_rmse_mem = 0.0;
-  std::size_t passes = 0;   // loop passes recorded (censored included)
-  std::size_t trained = 0;  // successful (uncensored or penalized) refits
-  bool last_record_evaluated = true;
-
-  if (!resumed) {
-    {
-      const trace::ScopedTimer timer("rmse");
-      result.initial_rmse_cost =
-          test_rmse(*backend_cost, cost_test, &cost_mu_log);
-      result.initial_rmse_mem = test_rmse(*backend_mem, mem_test);
+  // Writes the last computed RMSEs into the records from `first` on.
+  const auto record_rmse = [&](std::size_t first) {
+    for (std::size_t i = first; i < state.iterations.size(); ++i) {
+      state.iterations[i].rmse_cost = state.last_rmse_cost;
+      state.iterations[i].rmse_mem = state.last_rmse_mem;
+      state.iterations[i].rmse_cost_weighted = state.last_rmse_weighted;
     }
-    previous_cost_mu_log = cost_mu_log;
-    last_rmse_cost_weighted = weighted(cost_mu_log);
-    last_rmse_cost = result.initial_rmse_cost;
-    last_rmse_mem = result.initial_rmse_mem;
-  } else {
-    result.initial_rmse_cost = resumed->initial_rmse_cost;
-    result.initial_rmse_mem = resumed->initial_rmse_mem;
-    previous_cost_mu_log = resumed->previous_cost_mu_log;
-    stable_streak = static_cast<std::size_t>(resumed->stable_streak);
-    last_rmse_cost_weighted = resumed->last_rmse_weighted;
-    cc = resumed->cc;
-    cr = resumed->cr;
-    last_rmse_cost = resumed->last_rmse_cost;
-    last_rmse_mem = resumed->last_rmse_mem;
-    last_record_evaluated = resumed->last_record_evaluated;
-    passes = static_cast<std::size_t>(resumed->passes);
-    trained = static_cast<std::size_t>(resumed->trained);
-    result.iterations = resumed->iterations;
-    result.censored_count = static_cast<std::size_t>(resumed->censored_count);
-    result.censored_cost = resumed->censored_cost;
+  };
+  if (!resumed) {
+    evaluate();
+    state.initial_rmse_cost = state.last_rmse_cost;
+    state.initial_rmse_mem = state.last_rmse_mem;
+    state.previous_cost_mu_log = cost_mu_log;
   }
 
   // Budget counts successful acquisitions under kRetryNextCandidate and
@@ -446,7 +424,10 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
       options_.max_iterations == 0
           ? partition.active.size()
           : std::min(options_.max_iterations, partition.active.size());
-  result.iterations.reserve(budget);
+  const auto spent = [&] {
+    return static_cast<std::size_t>(retry_policy ? state.trained : state.passes);
+  };
+  state.iterations.reserve(budget);
 
   // Steady-state allocation avoidance (DESIGN.md §10): every container
   // that grows with the trajectory is reserved at its bound once, so
@@ -454,16 +435,22 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
   // maintenance) is pure in-place data movement from here on.
   const std::size_t n_train_max = learned.size() + budget;
   learned.reserve(n_train_max);
-  c_learned.reserve(n_train_max);
-  m_learned.reserve(n_train_max);
+  state.c_learned.reserve(n_train_max);
+  state.m_learned.reserve(n_train_max);
   backend_cost->reserve_additional(budget);
   backend_mem->reserve_additional(budget);
 
   // Per-trajectory workspace arena plus the persistent candidate-feature
   // buffer (CandidateView needs a Matrix&, so it cannot live in the
   // arena; it shrinks monotonically, so one reservation serves the run).
+  // Rounds of size > 1 also keep the round's frozen posterior, compacted
+  // as picks leave it.
   linalg::Matrix x_active_buf;
   x_active_buf.reserve(active.size(), x_scaled_.cols());
+  std::array<std::vector<double>, 4> frozen;
+  if (round_size > 1) {
+    for (std::vector<double>& v : frozen) v.reserve(active.size());
+  }
   linalg::Workspace ws;
   {
     // Pre-size one chunk at the worst-case pass footprint the two
@@ -494,38 +481,18 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
 
   // Captures the complete driver state for checkpoint/resume.
   const auto snapshot = [&]() {
-    TrajectoryCheckpoint s;
-    s.fingerprint = compat;
-    s.passes = passes;
-    s.trained = trained;
-    s.learned.assign(learned.begin(), learned.end());
-    s.active.assign(active.begin(), active.end());
-    s.c_learned = c_learned;
-    s.m_learned = m_learned;
+    TrajectoryCheckpoint s = state;
     s.theta_cost = backend_cost->log_params();
     s.theta_mem = backend_mem->log_params();
     s.backend_state_cost = backend_cost->save_state();
     s.backend_state_mem = backend_mem->save_state();
     s.rng = rng.save_state();
-    s.cc = cc;
-    s.cr = cr;
-    s.last_rmse_cost = last_rmse_cost;
-    s.last_rmse_mem = last_rmse_mem;
-    s.last_rmse_weighted = last_rmse_cost_weighted;
-    s.last_record_evaluated = last_record_evaluated;
-    s.initial_rmse_cost = result.initial_rmse_cost;
-    s.initial_rmse_mem = result.initial_rmse_mem;
-    s.stable_streak = stable_streak;
-    s.previous_cost_mu_log = previous_cost_mu_log;
-    s.censored_count = result.censored_count;
-    s.censored_cost = result.censored_cost;
     if (injector) {
       const auto hits = injector->hit_counters();
       const auto fires = injector->fire_counters();
       std::copy(hits.begin(), hits.end(), s.fault_hits.begin());
       std::copy(fires.begin(), fires.end(), s.fault_fires.begin());
     }
-    s.iterations = result.iterations;
     return s;
   };
   std::size_t new_passes = 0;  // passes executed by THIS process
@@ -537,15 +504,18 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
     save_checkpoint(snapshot(), checkpoint->path, checkpoint->retain);
   };
 
+  // One round: predict once, pick up to round_size candidates from the
+  // frozen posterior (censoring and revealing each as a sequential pass
+  // does), retrain once, evaluate once. Round size 1 is Algorithm 1.
   bool halted = false;
+  std::size_t last_round = 0;  // index of the last round's first record
   while (!active.empty()) {
-    if ((retry_policy ? trained : passes) >= budget) break;
+    if (spent() >= budget) break;
     if (checkpoint != nullptr && checkpoint->halt_after_iterations != 0 &&
         new_passes >= checkpoint->halt_after_iterations) {
       halted = true;
       break;
     }
-    trace::count("sim.iterations");
 
     // Arena steadiness bookkeeping: after the pre-warmed first pass the
     // arena's owned capacity must stay flat — any growth past pass 0 is a
@@ -563,210 +533,238 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
     // candidate panel over the kept cross matrix); outputs land in spans
     // that stay valid until the backend's next fit/add_point/predict call
     // or the pass scope rewinds.
-    gather_rows_into(x_scaled_, active, x_active_buf);
+    linalg::gather_rows_into(x_scaled_, active, x_active_buf);
     const gp::CandidateRef pool{x_active_buf, active};
-    std::span<const double> mu_c;
-    std::span<const double> sd_c;
-    std::span<const double> mu_m;
-    std::span<const double> sd_m;
+    gp::PosteriorSpans post_cost;
+    gp::PosteriorSpans post_mem;
     {
       const trace::ScopedTimer timer("predict");
-      const gp::PosteriorSpans post_cost =
-          backend_cost->predict_candidates(pool, ws);
-      const gp::PosteriorSpans post_mem =
-          backend_mem->predict_candidates(pool, ws);
-      mu_c = post_cost.mean;
-      sd_c = post_cost.stddev;
-      mu_m = post_mem.mean;
-      sd_m = post_mem.stddev;
+      post_cost = backend_cost->predict_candidates(pool, ws);
+      post_mem = backend_mem->predict_candidates(pool, ws);
     }
+    const std::size_t round_first = state.iterations.size();
+    const std::size_t first_pass = state.passes;
+    const std::size_t candidates_before = active.size();
+    std::size_t round_trained = 0;
+    bool no_pick = false;
+    while (true) {
+      // The round's first pick reads the sweep's spans; later picks read
+      // the frozen posterior with the round's earlier picks left out (the
+      // pool features are regathered in the same order).
+      const CandidateView view =
+          state.iterations.size() == round_first
+              ? CandidateView{x_active_buf, post_cost.mean, post_cost.stddev,
+                              post_mem.mean, post_mem.stddev}
+              : CandidateView{x_active_buf, frozen[0], frozen[1], frozen[2],
+                              frozen[3]};
+      trace::count("sim.iterations");
+      // Line 5: strategy decision.
+      std::optional<std::size_t> pick;
+      {
+        const trace::ScopedTimer timer("select");
+        pick = strategy.select(view, rng);
+      }
+      if (!pick) {
+        no_pick = true;
+        break;
+      }
+      const std::size_t local = *pick;
+      if (local >= active.size()) {
+        throw std::logic_error("AlSimulator: strategy returned invalid index");
+      }
+      const std::size_t row = active[local];
 
-    const CandidateView view{x_active_buf, mu_c, sd_c, mu_m, sd_m};
+      // Failure decision for this acquisition. Each injectable site is
+      // consulted exactly once per pick (whatever fired earlier), so hit
+      // counters advance in lockstep with the pass count — schedules stay
+      // simple to reason about and to restore from a checkpoint. When no
+      // injector is armed and failure awareness is off, every branch is
+      // false and the pick is byte-identical to the historical loop.
+      CensorKind censor = CensorKind::kNone;
+      {
+        const bool injected_oom = faults::fire(faults::Site::kAcquireOom);
+        const bool injected_timeout = faults::fire(faults::Site::kAcquireTimeout);
+        const bool injected_nan = faults::fire(faults::Site::kDataNanRow);
+        if (injected_timeout) {
+          if (resilient_cost != nullptr) {
+            resilient_cost->record_external_event(
+                resilience::Event::kAcquireTimeout);
+          }
+          if (resilient_mem != nullptr) {
+            resilient_mem->record_external_event(
+                resilience::Event::kAcquireTimeout);
+          }
+        }
+        if (injected_oom) {
+          censor = CensorKind::kOom;
+        } else if (injected_timeout) {
+          censor = CensorKind::kTimeout;
+        } else if (injected_nan) {
+          censor = CensorKind::kNanRow;
+        } else if (options_.failures.failure_aware &&
+                   log_mem_[row] > limit_log10_) {
+          censor = CensorKind::kOverLimit;
+        }
+      }
 
-    // Line 5: strategy decision.
-    std::optional<std::size_t> pick;
-    {
-      const trace::ScopedTimer timer("select");
-      pick = strategy.select(view, rng);
+      IterationRecord record;
+      record.iteration = state.iterations.size();
+      record.dataset_row = row;
+      record.candidates_before = candidates_before;
+      record.censor = censor;
+      {
+        // Lines 6-9: reveal the sample's measurements and move it from
+        // Active to Learned. A censored acquisition still burned its true
+        // cost (the core-hours were spent before the failure), so CC — and
+        // CR, since nothing usable came back — absorb the full cost.
+        const trace::ScopedTimer timer("reveal");
+        record.actual_cost = dataset_.cost[row];
+        record.actual_memory = dataset_.memory[row];
+        record.predicted_cost_log10 = view.mu_cost[local];
+        record.predicted_cost_sigma = view.sigma_cost[local];
+        record.predicted_mem_log10 = view.mu_mem[local];
+        record.predicted_mem_sigma = view.sigma_mem[local];
+
+        state.cc += record.actual_cost;
+        if (censor == CensorKind::kNone) {
+          state.cr += individual_regret(record.actual_cost, record.actual_memory,
+                                        result.memory_limit_mb);
+        } else {
+          state.cr += record.actual_cost;
+        }
+        record.cumulative_cost = state.cc;
+        record.cumulative_regret = state.cr;
+
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(local));
+        // The candidate left the pool: backends drop whatever per-candidate
+        // state they cache (the exact backend's cross-matrix column and
+        // prior-diagonal entry — pure data movement, remaining bits kept).
+        backend_cost->remove_candidate(local);
+        backend_mem->remove_candidate(local);
+      }
+
+      if (censor != CensorKind::kNone) {
+        trace::count("sim.censored");
+        ++state.censored_count;
+        state.censored_cost += record.actual_cost;
+      }
+      // Labels the models train on: the true measurements for a clean
+      // acquisition; under kPenalizedLabel a censored run contributes its
+      // observed cost and a memory label just above the limit ("it crashed
+      // up there"), steering the memory model away from the region. Under
+      // kDropCensored / kRetryNextCandidate the models never see the point.
+      if (censor == CensorKind::kNone ||
+          options_.failures.policy == CensorPolicy::kPenalizedLabel) {
+        learned.push_back(row);
+        state.c_learned.push_back(log_cost_[row]);
+        state.m_learned.push_back(censor == CensorKind::kNone
+                                      ? log_mem_[row]
+                                      : limit_log10_ +
+                                            options_.failures.penalty_offset);
+        ++round_trained;
+        ++state.trained;
+      }
+      state.iterations.push_back(record);
+      ++state.passes;
+      ++new_passes;
+
+      if (state.iterations.size() - round_first == round_size ||
+          active.empty() || spent() >= budget) {
+        break;
+      }
+      const std::array<std::span<const double>, 4> current{
+          view.mu_cost, view.sigma_cost, view.mu_mem, view.sigma_mem};
+      for (std::size_t k = 0; k < frozen.size(); ++k) {
+        if (state.iterations.size() - round_first == 1) {
+          frozen[k].assign(current[k].begin(), current[k].end());
+        }
+        frozen[k].erase(frozen[k].begin() + static_cast<std::ptrdiff_t>(local));
+      }
+      linalg::gather_rows_into(x_scaled_, active, x_active_buf);
     }
-    if (!pick) {
+    if (state.iterations.size() == round_first) {
       result.early_stopped = true;
       result.stop_reason = StopReason::kNoSafeCandidates;
       break;
     }
-    const std::size_t local = *pick;
-    if (local >= active.size()) {
-      throw std::logic_error("AlSimulator: strategy returned invalid index");
-    }
-    const std::size_t row = active[local];
+    last_round = round_first;
 
-    // Failure decision for this acquisition. Each injectable site is
-    // consulted exactly once per pass (whatever fired earlier), so hit
-    // counters advance in lockstep with the pass count — schedules stay
-    // simple to reason about and to restore from a checkpoint. When no
-    // injector is armed and failure awareness is off, every branch is
-    // false and the pass is byte-identical to the historical loop.
-    CensorKind censor = CensorKind::kNone;
-    {
-      const bool injected_oom = faults::fire(faults::Site::kAcquireOom);
-      const bool injected_timeout = faults::fire(faults::Site::kAcquireTimeout);
-      const bool injected_nan = faults::fire(faults::Site::kDataNanRow);
-      if (injected_timeout) {
-        if (resilient_cost != nullptr) {
-          resilient_cost->record_external_event(
-              resilience::Event::kAcquireTimeout);
+    bool evaluated = false;
+    if (round_trained != 0) {
+      // Lines 10-11: warm-started refit of both models on Init + Learned.
+      // Each backend appends the point and refits its own way (the exact
+      // backend through fit_add_point, approximate backends through their
+      // bounded updates). `after` describes the POST-round candidate pool
+      // for cross-cache row appends; x_active_buf is free for reuse here —
+      // the round's view reads are done.
+      {
+        const trace::ScopedTimer timer("refit");
+        std::optional<gp::CandidateRef> after;
+        if (!active.empty()) {
+          if (base == nullptr) {
+            linalg::gather_rows_into(x_scaled_, active, x_active_buf);
+          }
+          after.emplace(gp::CandidateRef{x_active_buf, active});
         }
-        if (resilient_mem != nullptr) {
-          resilient_mem->record_external_event(
-              resilience::Event::kAcquireTimeout);
+        const gp::CandidateRef* after_ptr = after ? &*after : nullptr;
+        for (std::size_t i = learned.size() - round_trained; i < learned.size();
+             ++i) {
+          if (round_trained > 1) {
+            const gp::GprOptions& fit =
+                i + 1 == learned.size() ? options_.refit : extend;
+            backend_cost->set_fit_options(fit);
+            backend_mem->set_fit_options(fit);
+          }
+          const std::size_t row = learned[i];
+          backend_cost->add_point(x_scaled_.row(row), state.c_learned[i], row,
+                                  rng, after_ptr);
+          backend_mem->add_point(x_scaled_.row(row), state.m_learned[i], row,
+                                 rng, after_ptr);
         }
       }
-      if (injected_oom) {
-        censor = CensorKind::kOom;
-      } else if (injected_timeout) {
-        censor = CensorKind::kTimeout;
-      } else if (injected_nan) {
-        censor = CensorKind::kNanRow;
-      } else if (options_.failures.failure_aware &&
-                 log_mem_[row] > limit_log10_) {
-        censor = CensorKind::kOverLimit;
-      }
+
+      // Metrics after this round (Eq. 10, non-log space). The final
+      // planned round always evaluates so the trajectory never ends on a
+      // carried-over value; a stride point is any pass index of the round
+      // divisible by rmse_stride.
+      const std::size_t stride = options_.rmse_stride;
+      evaluated = stride <= 1 ||
+                  (state.passes - 1) / stride * stride >= first_pass ||
+                  spent() == budget || active.empty() ||
+                  options_.stopping.enabled;
+      if (evaluated) evaluate();
+      state.last_record_evaluated = evaluated;
     }
-    const bool train = censor == CensorKind::kNone ||
-                       options_.failures.policy == CensorPolicy::kPenalizedLabel;
-
-    IterationRecord record;
-    record.iteration = result.iterations.size();
-    record.dataset_row = row;
-    record.candidates_before = active.size();
-    record.censor = censor;
-    {
-      // Lines 6-9: reveal the sample's measurements and move it from
-      // Active to Learned. A censored acquisition still burned its true
-      // cost (the core-hours were spent before the failure), so CC — and
-      // CR, since nothing usable came back — absorb the full cost.
-      const trace::ScopedTimer timer("reveal");
-      record.actual_cost = dataset_.cost[row];
-      record.actual_memory = dataset_.memory[row];
-      record.predicted_cost_log10 = mu_c[local];
-      record.predicted_cost_sigma = sd_c[local];
-      record.predicted_mem_log10 = mu_m[local];
-      record.predicted_mem_sigma = sd_m[local];
-
-      cc += record.actual_cost;
-      if (censor == CensorKind::kNone) {
-        cr += individual_regret(record.actual_cost, record.actual_memory,
-                                result.memory_limit_mb);
-      } else {
-        cr += record.actual_cost;
-      }
-      record.cumulative_cost = cc;
-      record.cumulative_regret = cr;
-
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(local));
-      // The candidate left the pool: backends drop whatever per-candidate
-      // state they cache (the exact backend's cross-matrix column and
-      // prior-diagonal entry — pure data movement, remaining bits kept).
-      backend_cost->remove_candidate(local);
-      backend_mem->remove_candidate(local);
-    }
-
-    if (censor != CensorKind::kNone) {
-      trace::count("sim.censored");
-      ++result.censored_count;
-      result.censored_cost += record.actual_cost;
-    }
-
-    if (!train) {
-      // kDropCensored / kRetryNextCandidate: the models never see the
-      // point. RMSE columns carry the last computed values (the models
-      // did not change, so nothing new to evaluate); last_record_evaluated
-      // is deliberately untouched — whether the carried value is current
-      // depends on the last TRAINED pass, which already set it.
-      record.rmse_cost = last_rmse_cost;
-      record.rmse_mem = last_rmse_mem;
-      record.rmse_cost_weighted = last_rmse_cost_weighted;
-      result.iterations.push_back(record);
-      ++passes;
-      ++new_passes;
-      maybe_checkpoint();
-      continue;
-    }
-
-    // Labels the models train on: the true measurements for a clean
-    // acquisition; under kPenalizedLabel a censored run contributes its
-    // observed cost and a memory label just above the limit ("it crashed
-    // up there"), steering the memory model away from the region.
-    const double c_label = log_cost_[row];
-    const double m_label = censor == CensorKind::kNone
-                               ? log_mem_[row]
-                               : limit_log10_ + options_.failures.penalty_offset;
-    learned.push_back(row);
-    c_learned.push_back(c_label);
-    m_learned.push_back(m_label);
-
-    // Lines 10-11: warm-started refit of both models on Init + Learned.
-    // Each backend appends the point and refits its own way (the exact
-    // backend through fit_add_point, approximate backends through their
-    // bounded updates). `after` describes the POST-acquisition candidate
-    // pool for cross-cache row appends; x_active_buf is free for reuse
-    // here — the CandidateView and its record reads are done for this pass.
-    {
-      const trace::ScopedTimer timer("refit");
-      std::optional<gp::CandidateRef> after;
-      if (!active.empty()) {
-        if (base == nullptr) gather_rows_into(x_scaled_, active, x_active_buf);
-        after.emplace(gp::CandidateRef{x_active_buf, active});
-      }
-      const gp::CandidateRef* after_ptr = after ? &*after : nullptr;
-      backend_cost->add_point(x_scaled_.row(row), c_label, row, rng, after_ptr);
-      backend_mem->add_point(x_scaled_.row(row), m_label, row, rng, after_ptr);
-    }
-
-    // Metrics after this iteration (Eq. 10, non-log space). The final
-    // planned iteration always evaluates so the trajectory never ends on
-    // a carried-over value. `passes` here still holds this pass's 0-based
-    // index (incremented below), matching the historical `iter`.
-    const bool final_pass =
-        (retry_policy ? trained : passes) + 1 == budget;
-    const bool evaluate_now = options_.rmse_stride <= 1 ||
-                              passes % options_.rmse_stride == 0 ||
-                              final_pass ||
-                              active.empty() || options_.stopping.enabled;
-    if (evaluate_now) {
-      const trace::ScopedTimer timer("rmse");
-      last_rmse_cost = test_rmse(*backend_cost, cost_test, &cost_mu_log);
-      last_rmse_mem = test_rmse(*backend_mem, mem_test);
-      last_rmse_cost_weighted = weighted(cost_mu_log);
-    }
-    last_record_evaluated = evaluate_now;
-    record.rmse_cost = last_rmse_cost;
-    record.rmse_mem = last_rmse_mem;
-    record.rmse_cost_weighted = last_rmse_cost_weighted;
-
-    result.iterations.push_back(record);
-    ++trained;
-    ++passes;
-    ++new_passes;
+    // A round's records share the post-round RMSE; a round that trained
+    // nothing carries the last computed values (the models did not
+    // change, and last_record_evaluated still describes them).
+    record_rmse(round_first);
 
     // Stabilizing-predictions stopping rule (paper Sec. V-D).
-    if (options_.stopping.enabled && evaluate_now) {
+    if (options_.stopping.enabled && evaluated) {
       double mean_abs_change = 0.0;
       for (std::size_t t = 0; t < cost_mu_log.size(); ++t) {
-        mean_abs_change += std::abs(cost_mu_log[t] - previous_cost_mu_log[t]);
+        mean_abs_change +=
+            std::abs(cost_mu_log[t] - state.previous_cost_mu_log[t]);
       }
       mean_abs_change /= static_cast<double>(cost_mu_log.size());
-      previous_cost_mu_log = cost_mu_log;
-      stable_streak =
-          mean_abs_change < options_.stopping.tolerance ? stable_streak + 1 : 0;
-      if (passes >= options_.stopping.min_iterations &&
-          stable_streak >= options_.stopping.patience) {
+      state.previous_cost_mu_log = cost_mu_log;
+      state.stable_streak = mean_abs_change < options_.stopping.tolerance
+                                ? state.stable_streak + 1
+                                : 0;
+      if (state.passes >= options_.stopping.min_iterations &&
+          state.stable_streak >= options_.stopping.patience) {
         result.early_stopped = true;
         result.stop_reason = StopReason::kStabilized;
         break;
       }
     }
     maybe_checkpoint();
+    if (no_pick) {
+      result.early_stopped = true;
+      result.stop_reason = StopReason::kNoSafeCandidates;
+      break;
+    }
   }
   if (halted) {
     result.stop_reason = StopReason::kCheckpointHalt;
@@ -780,15 +778,12 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
   }
 
   // An early stop between stride points would otherwise leave the last
-  // record with a carried-over RMSE; the models have not changed since
-  // that iteration's refit, so evaluating now yields exactly the value a
-  // per-iteration evaluation would have recorded.
-  if (!halted && !last_record_evaluated && !result.iterations.empty()) {
-    const trace::ScopedTimer timer("rmse");
-    IterationRecord& last = result.iterations.back();
-    last.rmse_cost = test_rmse(*backend_cost, cost_test, &cost_mu_log);
-    last.rmse_mem = test_rmse(*backend_mem, mem_test);
-    last.rmse_cost_weighted = weighted(cost_mu_log);
+  // round with a carried-over RMSE; the models have not changed since
+  // that round's refit, so evaluating now yields exactly the value a
+  // per-round evaluation would have recorded.
+  if (!halted && !state.last_record_evaluated && !state.iterations.empty()) {
+    evaluate();
+    record_rmse(last_round);
   }
 
   // A completed trajectory retires its checkpoint — every rotated
@@ -818,204 +813,13 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
     trace::count("arena.scope_leaks", ws.open_scopes());
   }
 
+  result.initial_rmse_cost = state.initial_rmse_cost;
+  result.initial_rmse_mem = state.initial_rmse_mem;
+  result.censored_count = static_cast<std::size_t>(state.censored_count);
+  result.censored_cost = state.censored_cost;
+  result.iterations = std::move(state.iterations);
   if (trace::enabled()) result.trace = collector.report();
   result.trace.fingerprint = fingerprint;
-  return result;
-}
-
-TrajectoryResult AlSimulator::run_batched(const Strategy& strategy,
-                                          std::size_t batch_size,
-                                          const data::Partition& partition,
-                                          stats::Rng& rng) const {
-  if (batch_size == 0) {
-    throw std::invalid_argument("run_batched: batch_size must be >= 1");
-  }
-
-  TrajectoryResult result;
-  result.strategy_name =
-      strategy.name() + " (batch=" + std::to_string(batch_size) + ")";
-  result.partition = partition;
-  result.memory_limit_mb = memory_limit_mb();
-
-  trace::TraceCollector collector;
-  const trace::ScopedCollector trace_scope(collector);
-
-  const linalg::Matrix x_test = gather_rows(x_scaled_, partition.test);
-  const std::vector<double> cost_test = gather(dataset_.cost, partition.test);
-  const std::vector<double> mem_test = gather(dataset_.memory, partition.test);
-
-  // Batch rounds run the plain fit/predict recipe through the
-  // predict()/predict_mean() entry points (no candidate caches).
-  const auto kernel_factory = [this] { return make_kernel(); };
-  const std::unique_ptr<gp::PosteriorBackend> backend_cost =
-      gp::make_resilient_backend(options_.backend, options_.resilience,
-                                 kernel_factory, options_.initial_fit);
-  const std::unique_ptr<gp::PosteriorBackend> backend_mem =
-      gp::make_resilient_backend(options_.backend, options_.resilience,
-                                 kernel_factory, options_.initial_fit);
-
-  std::vector<std::size_t> learned(partition.init);
-  linalg::Matrix x_learned = gather_rows(x_scaled_, learned);
-  std::vector<double> c_learned = gather(log_cost_, learned);
-  std::vector<double> m_learned = gather(log_mem_, learned);
-  {
-    const trace::ScopedTimer timer("init");
-    backend_cost->fit(x_learned, c_learned, rng);
-    backend_mem->fit(x_learned, m_learned, rng);
-  }
-  backend_cost->set_fit_options(options_.refit);
-  backend_mem->set_fit_options(options_.refit);
-
-  const auto test_rmse = [&](gp::PosteriorBackend& model,
-                             std::span<const double> actual) {
-    const std::vector<double> mu =
-        data::exp10_transform(model.predict_mean(x_test));
-    return rmse(mu, actual);
-  };
-  {
-    const trace::ScopedTimer timer("rmse");
-    result.initial_rmse_cost = test_rmse(*backend_cost, cost_test);
-    result.initial_rmse_mem = test_rmse(*backend_mem, mem_test);
-  }
-
-  std::vector<std::size_t> active(partition.active);
-  double cc = 0.0;
-  double cr = 0.0;
-  const std::size_t budget = options_.max_iterations == 0
-                                 ? active.size()
-                                 : std::min(options_.max_iterations, active.size());
-  std::size_t selected_total = 0;
-
-  while (selected_total < budget && !active.empty()) {
-    trace::count("sim.rounds");
-
-    // One prediction pass per round; within the round the model is frozen
-    // and already-picked candidates are simply excluded from the view.
-    const linalg::Matrix x_active = gather_rows(x_scaled_, active);
-    gp::Prediction pred_cost;
-    gp::Prediction pred_mem;
-    {
-      const trace::ScopedTimer timer("predict");
-      pred_cost = backend_cost->predict(x_active);
-      pred_mem = backend_mem->predict(x_active);
-    }
-
-    std::vector<std::size_t> remaining(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) remaining[i] = i;
-
-    std::vector<std::size_t> picked_locals;
-    bool exhausted = false;
-    const std::size_t round_quota =
-        std::min(batch_size, budget - selected_total);
-    {
-      const trace::ScopedTimer timer("select");
-      while (picked_locals.size() < round_quota && !remaining.empty()) {
-        linalg::Matrix x_view(remaining.size(), x_scaled_.cols());
-        std::vector<double> mu_c(remaining.size());
-        std::vector<double> sd_c(remaining.size());
-        std::vector<double> mu_m(remaining.size());
-        std::vector<double> sd_m(remaining.size());
-        for (std::size_t v = 0; v < remaining.size(); ++v) {
-          const std::size_t local = remaining[v];
-          for (std::size_t c = 0; c < x_scaled_.cols(); ++c) {
-            x_view(v, c) = x_active(local, c);
-          }
-          mu_c[v] = pred_cost.mean[local];
-          sd_c[v] = pred_cost.stddev[local];
-          mu_m[v] = pred_mem.mean[local];
-          sd_m[v] = pred_mem.stddev[local];
-        }
-        const CandidateView view{x_view, mu_c, sd_c, mu_m, sd_m};
-        const std::optional<std::size_t> pick = strategy.select(view, rng);
-        if (!pick) {
-          exhausted = true;
-          break;
-        }
-        picked_locals.push_back(remaining[*pick]);
-        remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(*pick));
-      }
-    }
-    if (picked_locals.empty()) {
-      result.early_stopped = true;
-      result.stop_reason = StopReason::kNoSafeCandidates;
-      break;
-    }
-
-    // Reveal the whole batch, then retrain once.
-    trace::count("sim.iterations", picked_locals.size());
-    std::vector<IterationRecord> round_records;
-    {
-      const trace::ScopedTimer timer("reveal");
-      for (const std::size_t local : picked_locals) {
-        const std::size_t row = active[local];
-        IterationRecord record;
-        record.iteration = selected_total + round_records.size();
-        record.dataset_row = row;
-        record.candidates_before = active.size();
-        record.actual_cost = dataset_.cost[row];
-        record.actual_memory = dataset_.memory[row];
-        record.predicted_cost_log10 = pred_cost.mean[local];
-        record.predicted_cost_sigma = pred_cost.stddev[local];
-        record.predicted_mem_log10 = pred_mem.mean[local];
-        record.predicted_mem_sigma = pred_mem.stddev[local];
-        cc += record.actual_cost;
-        cr += individual_regret(record.actual_cost, record.actual_memory,
-                                result.memory_limit_mb);
-        record.cumulative_cost = cc;
-        record.cumulative_regret = cr;
-        learned.push_back(row);
-        round_records.push_back(record);
-      }
-      // Remove picked rows from Active (descending local order keeps
-      // indices valid).
-      std::vector<std::size_t> sorted_locals(picked_locals);
-      std::sort(sorted_locals.rbegin(), sorted_locals.rend());
-      for (const std::size_t local : sorted_locals) {
-        active.erase(active.begin() + static_cast<std::ptrdiff_t>(local));
-      }
-      selected_total += picked_locals.size();
-    }
-
-    {
-      const trace::ScopedTimer timer("refit");
-      x_learned = gather_rows(x_scaled_, learned);
-      c_learned = gather(log_cost_, learned);
-      m_learned = gather(log_mem_, learned);
-      backend_cost->fit(x_learned, c_learned, rng);
-      backend_mem->fit(x_learned, m_learned, rng);
-    }
-
-    double rmse_cost_now = 0.0;
-    double rmse_mem_now = 0.0;
-    double rmse_weighted_now = 0.0;
-    {
-      const trace::ScopedTimer timer("rmse");
-      const std::vector<double> round_mu =
-          data::exp10_transform(backend_cost->predict_mean(x_test));
-      rmse_cost_now = rmse(round_mu, cost_test);
-      rmse_mem_now = test_rmse(*backend_mem, mem_test);
-      rmse_weighted_now = weighted_rmse(round_mu, cost_test, cost_test);
-    }
-    for (IterationRecord& record : round_records) {
-      record.rmse_cost = rmse_cost_now;
-      record.rmse_mem = rmse_mem_now;
-      record.rmse_cost_weighted = rmse_weighted_now;
-      result.iterations.push_back(record);
-    }
-    if (exhausted) {
-      result.early_stopped = true;
-      result.stop_reason = StopReason::kNoSafeCandidates;
-      break;
-    }
-  }
-  if (result.stop_reason != StopReason::kNoSafeCandidates) {
-    result.stop_reason = active.empty() ? StopReason::kActiveExhausted
-                                        : StopReason::kIterationBudget;
-  }
-
-  if (trace::enabled()) result.trace = collector.report();
-  result.trace.fingerprint =
-      trajectory_fingerprint(result.strategy_name, partition);
   return result;
 }
 

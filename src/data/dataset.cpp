@@ -1,6 +1,8 @@
 #include "alamr/data/dataset.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace alamr::data {
 
@@ -11,6 +13,16 @@ void Dataset::validate() const {
   }
   if (!feature_names.empty() && feature_names.size() != x.cols()) {
     throw std::invalid_argument("Dataset: feature_names length mismatch");
+  }
+}
+
+void require_finite_features(const Matrix& x, std::string_view who,
+                             std::string_view what) {
+  for (const double v : x.data()) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument(std::string(who) + ": non-finite feature in " +
+                                  std::string(what));
+    }
   }
 }
 

@@ -8,8 +8,9 @@ namespace alamr::data {
 std::vector<double> log10_transform(std::span<const double> values) {
   std::vector<double> out(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (!(values[i] > 0.0)) {
-      throw std::invalid_argument("log10_transform: values must be positive");
+    if (!(values[i] > 0.0) || !std::isfinite(values[i])) {
+      throw std::invalid_argument(
+          "log10_transform: values must be positive and finite");
     }
     out[i] = std::log10(values[i]);
   }

@@ -22,16 +22,6 @@ DistanceBase::DistanceBase(const Matrix& x) : x_(x) {
 
 namespace {
 
-linalg::Matrix gather_rows(const Matrix& x, std::span<const std::size_t> rows) {
-  Matrix out(rows.size(), x.cols());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto src = x.row(rows[i]);
-    const auto dst = out.row(i);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  return out;
-}
-
 void check_rows_in_range(std::span<const std::size_t> rows, std::size_t n,
                          const char* what) {
   for (const std::size_t r : rows) {
@@ -48,7 +38,7 @@ PairwiseDistances PairwiseDistances::train_from_base(
   core::trace::count("gp.dist_cache_gather");
   PairwiseDistances d;
   d.symmetric_ = true;
-  d.x_ = gather_rows(base.x(), rows);
+  d.x_ = linalg::gather_rows(base.x(), rows);
   const std::size_t k = rows.size();
   d.sq_ = Matrix(k, k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -71,8 +61,8 @@ PairwiseDistances PairwiseDistances::cross_from_base(
   core::trace::count("gp.dist_cache_gather");
   PairwiseDistances d;
   d.symmetric_ = false;
-  d.x_ = gather_rows(base.x(), rows_x);
-  d.y_ = gather_rows(base.x(), rows_y);
+  d.x_ = linalg::gather_rows(base.x(), rows_x);
+  d.y_ = linalg::gather_rows(base.x(), rows_y);
   d.sq_ = Matrix(rows_x.size(), rows_y.size());
   for (std::size_t i = 0; i < rows_x.size(); ++i) {
     const auto out = d.sq_.row(i);

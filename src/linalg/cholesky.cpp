@@ -170,32 +170,6 @@ std::optional<CholeskyFactor> CholeskyFactor::factor(const Matrix& a) {
   return CholeskyFactor(std::move(l));
 }
 
-std::optional<CholeskyFactor> CholeskyFactor::factor_reference(
-    const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("cholesky: matrix must be square");
-  }
-  const std::size_t n = a.rows();
-  Matrix l(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (!(diag > 0.0) || !std::isfinite(diag)) return std::nullopt;
-    const double ljj = std::sqrt(diag);
-    l(j, j) = ljj;
-    const double inv = 1.0 / ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double v = a(i, j);
-      // Contiguous dot over row prefixes (row-major storage).
-      const auto li = l.row(i);
-      const auto lj = l.row(j);
-      for (std::size_t k = 0; k < j; ++k) v -= li[k] * lj[k];
-      l(i, j) = v * inv;
-    }
-  }
-  return CholeskyFactor(std::move(l));
-}
-
 bool CholeskyFactor::extend(std::span<const double> row, double diag) {
   const std::size_t n = size();
   if (row.size() != n) throw std::invalid_argument("extend: length mismatch");
@@ -507,37 +481,6 @@ Matrix CholeskyFactor::inverse() const {
         inv(i, j) = z(i, q);
         inv(j, i) = z(i, q);
       }
-    }
-  }
-  return inv;
-}
-
-Matrix CholeskyFactor::inverse_reference() const {
-  // The unblocked recipe inverse() reproduces bit-for-bit: one scratch
-  // vector, zero-prefix forward solve, in-place backward solve, mirror.
-  const std::size_t n = size();
-  Matrix inv(n, n);
-  Vector z(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    // Forward solve L z = e_j, skipping the known-zero prefix.
-    for (std::size_t i = j; i < n; ++i) {
-      double v = i == j ? 1.0 : 0.0;
-      const auto li = l_.row(i);
-      for (std::size_t k = j; k < i; ++k) v -= li[k] * z[k];
-      z[i] = v / li[i];
-    }
-    // In-place backward solve L^T x = z, only down to row j (entries above
-    // the diagonal of column j come from the mirror).
-    for (std::size_t k = n; k-- > j;) {
-      const auto lk = l_.row(k);
-      const double zk = z[k] / lk[k];
-      z[k] = zk;
-      for (std::size_t i = j; i < k; ++i) z[i] -= lk[i] * zk;
-    }
-    inv(j, j) = z[j];
-    for (std::size_t i = j + 1; i < n; ++i) {
-      inv(i, j) = z[i];
-      inv(j, i) = z[i];
     }
   }
   return inv;

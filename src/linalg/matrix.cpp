@@ -12,6 +12,21 @@ void assert_fail(const char* msg) { throw std::invalid_argument(msg); }
 
 }  // namespace detail
 
+Matrix gather_rows(const Matrix& x, std::span<const std::size_t> rows) {
+  Matrix out;
+  gather_rows_into(x, rows, out);
+  return out;
+}
+
+void gather_rows_into(const Matrix& x, std::span<const std::size_t> rows,
+                      Matrix& out) {
+  out.resize_discard(rows.size(), x.cols());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const auto src = x.row(rows[r]);
+    std::copy(src.begin(), src.end(), out.row(r).begin());
+  }
+}
+
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   rows_ = rows.size();
   cols_ = rows_ == 0 ? 0 : rows.begin()->size();

@@ -62,6 +62,27 @@ TEST(ArenaGate, SteadyStateFootprintIsFlat) {
       << "pre-warm should cover the whole trajectory in one chunk";
 }
 
+// Batch rounds run the same pass: one sweep per round, later picks read a
+// compacted copy outside the arena, and censored picks leave the round
+// early or untrained — the footprint stays flat and every scope closes.
+TEST(ArenaGate, BatchRoundsKeepTheFootprintFlat) {
+  AlOptions options = arena_options(16);
+  options.trace = true;
+  options.failures.failure_aware = true;
+  const AlSimulator sim(dataset(), options);
+  Rng setup(8);
+  const auto partition = alamr::data::make_partition(
+      dataset().size(), options.n_test, options.n_init, setup);
+  Rng rng(9);
+  const TrajectoryResult traj = sim.run_batched(MaxSigma(), 4, partition, rng);
+  ASSERT_EQ(traj.iterations.size(), 16u);
+  EXPECT_GT(traj.censored_count, 0u);
+  EXPECT_GT(traj.trace.counter("arena.bytes_peak"), 0u);
+  EXPECT_EQ(traj.trace.counter("arena.steady_growth"), 0u);
+  EXPECT_EQ(traj.trace.counter("arena.scope_leaks"), 0u);
+  EXPECT_EQ(traj.trace.counter("arena.chunk_allocs"), 1u);
+}
+
 // kRetryNextCandidate exercises the pass loop's `continue` exit: the
 // censored pass must release its arena scope, and the retry trajectory
 // must stay byte-identical between the serial and the 4-lane pool.

@@ -11,7 +11,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <set>
+
+#include "alamr/linalg/simd.hpp"
 
 #include "synthetic_dataset.hpp"
 
@@ -42,6 +47,26 @@ TEST(AlSimulator, RejectsTooSmallDataset) {
   options.n_test = 25;
   options.n_init = 10;
   EXPECT_THROW(AlSimulator(tiny, options), std::invalid_argument);
+}
+
+TEST(AlSimulator, RejectsNonFiniteFeatures) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    auto data = dataset();
+    data.x(7, 2) = bad;
+    EXPECT_THROW(AlSimulator(data, fast_options()), std::invalid_argument);
+  }
+}
+
+TEST(AlSimulator, RejectsInfiniteCostOrMemory) {
+  const double inf = std::numeric_limits<double>::infinity();
+  auto cost = dataset();
+  cost.cost[3] = inf;
+  EXPECT_THROW(AlSimulator(cost, fast_options()), std::invalid_argument);
+  auto memory = dataset();
+  memory.memory[3] = inf;
+  EXPECT_THROW(AlSimulator(memory, fast_options()), std::invalid_argument);
 }
 
 TEST(AlSimulator, MemoryLimitRuleMatchesPaperAnchor) {
@@ -491,6 +516,158 @@ TEST(AlSimulatorBatched, CumulativeMetricsConsistent) {
     cc += rec.actual_cost;
     EXPECT_NEAR(rec.cumulative_cost, cc, 1e-12);
   }
+}
+
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(alamr::linalg::simd::Level level)
+      : saved_(alamr::linalg::simd::active_level()) {
+    EXPECT_TRUE(alamr::linalg::simd::set_level(level));
+  }
+  ~ScopedSimdLevel() { alamr::linalg::simd::set_level(saved_); }
+  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
+  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
+
+ private:
+  alamr::linalg::simd::Level saved_;
+};
+
+// FNV-1a over the bit patterns of every record field plus the trajectory's
+// initial RMSEs, stop reason and censor totals.
+std::uint64_t records_hash(const TrajectoryResult& traj) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto add = [&h](auto value) {
+    unsigned char bytes[sizeof value];
+    std::memcpy(bytes, &value, sizeof value);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ULL;
+    }
+  };
+  add(traj.initial_rmse_cost);
+  add(traj.initial_rmse_mem);
+  add(static_cast<std::uint64_t>(traj.stop_reason));
+  add(static_cast<std::uint64_t>(traj.censored_count));
+  add(traj.censored_cost);
+  for (const IterationRecord& r : traj.iterations) {
+    add(static_cast<std::uint64_t>(r.iteration));
+    add(static_cast<std::uint64_t>(r.dataset_row));
+    add(static_cast<std::uint64_t>(r.candidates_before));
+    add(static_cast<std::uint64_t>(r.censor));
+    for (const double v :
+         {r.actual_cost, r.actual_memory, r.predicted_cost_log10,
+          r.predicted_cost_sigma, r.predicted_mem_log10,
+          r.predicted_mem_sigma, r.rmse_cost, r.rmse_mem,
+          r.rmse_cost_weighted, r.cumulative_cost, r.cumulative_regret}) {
+      add(v);
+    }
+  }
+  return h;
+}
+
+// Pins computed at the scalar tier by the hand-written batch loop that
+// refit every round with a full fit() and swept the pool with predict();
+// the round-size fold of the sequential loop (extend at fixed theta, refit
+// on the round's last point, one panel sweep per round) reproduces them.
+TEST(AlSimulatorBatched, RecordsMatchPins) {
+  const ScopedSimdLevel scalar(alamr::linalg::simd::Level::kScalar);
+  const AlSimulator sim(dataset(), fast_options(10, 16));
+  Rng setup(56);
+  const auto partition = alamr::data::make_partition(
+      dataset().size(), sim.options().n_test, sim.options().n_init, setup);
+  struct Pin {
+    std::size_t q;
+    std::uint64_t goodness;
+    std::uint64_t max_sigma;
+  };
+  const Pin pins[] = {
+      {1, 0x079cbc75a28abd41ULL, 0x60495c955b615a6aULL},
+      {2, 0xc557f0ac42a83f25ULL, 0x3d680de09d6260cbULL},
+      {4, 0x822a5062c9e7ec2fULL, 0x760ff003267b28c9ULL},
+      {8, 0xa1e6e2b656c47f40ULL, 0x95967f67bcecd085ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("q=" + std::to_string(pin.q));
+    Rng rng_goodness(14);
+    const auto goodness =
+        sim.run_batched(RandGoodness(), pin.q, partition, rng_goodness);
+    Rng rng_sigma(15);
+    const auto sigma = sim.run_batched(MaxSigma(), pin.q, partition, rng_sigma);
+    ASSERT_EQ(goodness.iterations.size(), 16u);
+    ASSERT_EQ(sigma.iterations.size(), 16u);
+    EXPECT_EQ(records_hash(goodness), pin.goodness)
+        << std::hex << records_hash(goodness);
+    EXPECT_EQ(records_hash(sigma), pin.max_sigma)
+        << std::hex << records_hash(sigma);
+  }
+}
+
+TEST(AlSimulatorBatched, BatchSizeOneIsTheSequentialLoopBitForBit) {
+  AlOptions censoring = fast_options(10, 14);
+  censoring.failures.failure_aware = true;
+  censoring.failures.policy = CensorPolicy::kPenalizedLabel;
+  AlOptions strided = fast_options(10, 14);
+  strided.rmse_stride = 4;
+  for (const AlOptions& options : {fast_options(10, 14), censoring, strided}) {
+    const AlSimulator sim(dataset(), options);
+    Rng setup(57);
+    const auto partition = alamr::data::make_partition(
+        dataset().size(), options.n_test, options.n_init, setup);
+    const std::unique_ptr<Strategy> strategies[] = {
+        std::make_unique<RandGoodness>(), std::make_unique<MaxSigma>()};
+    for (const std::unique_ptr<Strategy>& strategy : strategies) {
+      Rng rng_seq(16);
+      const auto sequential = sim.run_with_partition(*strategy, partition, rng_seq);
+      Rng rng_batch(16);
+      const auto batched = sim.run_batched(*strategy, 1, partition, rng_batch);
+      ASSERT_EQ(sequential.iterations.size(), batched.iterations.size());
+      EXPECT_EQ(records_hash(sequential), records_hash(batched));
+      EXPECT_EQ(rng_seq.save_state().words, rng_batch.save_state().words);
+    }
+  }
+}
+
+TEST(AlSimulatorBatched, FailureModelCensorsOverLimitPicks) {
+  AlOptions options = fast_options(10, 16);
+  options.failures.failure_aware = true;
+  const AlSimulator sim(dataset(), options);
+  Rng setup(58);
+  const auto partition = alamr::data::make_partition(
+      dataset().size(), options.n_test, options.n_init, setup);
+  Rng rng(17);
+  const auto traj = sim.run_batched(RandUniform(), 4, partition, rng);
+  ASSERT_EQ(traj.iterations.size(), 16u);
+  std::size_t censored = 0;
+  double censored_cost = 0.0;
+  for (const IterationRecord& r : traj.iterations) {
+    const bool over = r.actual_memory > sim.memory_limit_mb();
+    EXPECT_EQ(r.censor, over ? CensorKind::kOverLimit : CensorKind::kNone);
+    if (over) {
+      ++censored;
+      censored_cost += r.actual_cost;
+    }
+  }
+  EXPECT_GT(censored, 0u);
+  EXPECT_EQ(traj.censored_count, censored);
+  EXPECT_DOUBLE_EQ(traj.censored_cost, censored_cost);
+}
+
+TEST(AlSimulatorBatched, FaultSitesAreConsultedOncePerPick) {
+  AlOptions options = fast_options(10, 12);
+  options.failures.plan = faults::FaultPlan::parse("acquire.oom:hits=1|6");
+  const AlSimulator sim(dataset(), options);
+  Rng setup(59);
+  const auto partition = alamr::data::make_partition(
+      dataset().size(), options.n_test, options.n_init, setup);
+  Rng rng(18);
+  const auto traj = sim.run_batched(RandGoodness(), 4, partition, rng);
+  ASSERT_EQ(traj.iterations.size(), 12u);
+  for (std::size_t i = 0; i < traj.iterations.size(); ++i) {
+    EXPECT_EQ(traj.iterations[i].censor,
+              i == 1 || i == 6 ? CensorKind::kOom : CensorKind::kNone)
+        << "pick " << i;
+  }
+  EXPECT_EQ(traj.censored_count, 2u);
 }
 
 // Kernel ablation plumbing: every kernel choice must run end to end.

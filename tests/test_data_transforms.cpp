@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "alamr/stats/rng.hpp"
 
@@ -28,6 +29,15 @@ TEST(Log10Transform, RejectsNonPositive) {
   EXPECT_THROW(log10_transform(std::vector<double>{1.0, 0.0}),
                std::invalid_argument);
   EXPECT_THROW(log10_transform(std::vector<double>{-3.0}),
+               std::invalid_argument);
+}
+
+TEST(Log10Transform, RejectsNonFinite) {
+  EXPECT_THROW(log10_transform(std::vector<double>{
+                   1.0, std::numeric_limits<double>::infinity()}),
+               std::invalid_argument);
+  EXPECT_THROW(log10_transform(std::vector<double>{
+                   std::numeric_limits<double>::quiet_NaN()}),
                std::invalid_argument);
 }
 

@@ -8,11 +8,13 @@
 
 #include "alamr/core/faults.hpp"
 #include "alamr/stats/rng.hpp"
+#include "reference_cholesky.hpp"
 
 namespace {
 
 using namespace alamr::linalg;
 using alamr::stats::Rng;
+namespace test_reference = alamr::test_reference;
 
 Matrix random_spd(std::size_t n, Rng& rng, double diagonal_boost = 0.5) {
   Matrix a(n, n);
@@ -347,7 +349,7 @@ TEST(CholeskyBlocked, MatchesReferenceAroundBlockEdges) {
         kCholeskyBlock + 1, 2 * kCholeskyBlock + 3}) {
     const Matrix a = random_spd(n, rng);
     const auto blocked = CholeskyFactor::factor(a);
-    const auto reference = CholeskyFactor::factor_reference(a);
+    const auto reference = test_reference::factor_reference(a);
     ASSERT_TRUE(blocked.has_value()) << "n=" << n;
     ASSERT_TRUE(reference.has_value()) << "n=" << n;
     double worst = 0.0;
@@ -379,7 +381,7 @@ TEST(CholeskyBlocked, InverseMatchesReferenceAroundBlockEdges) {
     const auto factor = CholeskyFactor::factor(a);
     ASSERT_TRUE(factor.has_value()) << "n=" << n;
     const Matrix blocked = factor->inverse();
-    const Matrix reference = factor->inverse_reference();
+    const Matrix reference = test_reference::inverse_reference(*factor);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         EXPECT_EQ(blocked(i, j), reference(i, j))
@@ -392,7 +394,7 @@ TEST(CholeskyBlocked, InverseMatchesReferenceAroundBlockEdges) {
 TEST(CholeskyBlocked, ReferenceRejectsIndefiniteLikeBlocked) {
   const Matrix a{{1.0, 2.0}, {2.0, 1.0}};
   EXPECT_FALSE(CholeskyFactor::factor(a).has_value());
-  EXPECT_FALSE(CholeskyFactor::factor_reference(a).has_value());
+  EXPECT_FALSE(test_reference::factor_reference(a).has_value());
 }
 
 TEST(CholeskyBlocked, SolveLowerBlockMatchesColumnSolves) {
