@@ -4,7 +4,6 @@
 #include <array>
 #include <optional>
 #include <stdexcept>
-#include <type_traits>
 
 #include "alamr/core/checkpoint.hpp"
 #include "alamr/core/metrics.hpp"
@@ -305,10 +304,12 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
       trace::count("sim.resumed");
     }
   }
-  // Rows are handed to the backends as size_t spans.
-  static_assert(std::is_same_v<std::uint64_t, std::size_t>);
-  std::vector<std::size_t>& learned = state.learned;
-  std::vector<std::size_t>& active = state.active;
+  // Rows are handed to the backends as size_t spans; the payload keeps
+  // them as u64, so the two row lists convert at load and at snapshot.
+  std::vector<std::size_t> learned(state.learned.begin(), state.learned.end());
+  std::vector<std::size_t> active(state.active.begin(), state.active.end());
+  state.learned.clear();
+  state.active.clear();
 
   // Test set fixtures (original units for Eq. 10).
   const linalg::Matrix x_test = linalg::gather_rows(x_scaled_, partition.test);
@@ -482,6 +483,8 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
   // Captures the complete driver state for checkpoint/resume.
   const auto snapshot = [&]() {
     TrajectoryCheckpoint s = state;
+    s.learned.assign(learned.begin(), learned.end());
+    s.active.assign(active.begin(), active.end());
     s.theta_cost = backend_cost->log_params();
     s.theta_mem = backend_mem->log_params();
     s.backend_state_cost = backend_cost->save_state();
@@ -507,8 +510,11 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
   // One round: predict once, pick up to round_size candidates from the
   // frozen posterior (censoring and revealing each as a sequential pass
   // does), retrain once, evaluate once. Round size 1 is Algorithm 1.
+  // Index of the last round's first record; a resumed run (always round
+  // size 1) starts from the loaded trajectory's last record.
   bool halted = false;
-  std::size_t last_round = 0;  // index of the last round's first record
+  std::size_t last_round =
+      state.iterations.empty() ? 0 : state.iterations.size() - 1;
   while (!active.empty()) {
     if (spent() >= budget) break;
     if (checkpoint != nullptr && checkpoint->halt_after_iterations != 0 &&

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "alamr/core/batch.hpp"
@@ -497,6 +499,63 @@ TEST(Checkpoint, DoubleHaltThenResumeStillMatches) {
   stats::Rng rng_c(41);
   const auto resumed =
       sim.run_resumable(core::RandGoodness(), partition, rng_c, cfg);
+  EXPECT_EQ(core::trajectory_to_csv(resumed), core::trajectory_to_csv(full));
+}
+
+/// MaxSigma until the pool shrinks to `floor`, then no safe candidate.
+class MaxSigmaUntilFloor final : public core::Strategy {
+ public:
+  explicit MaxSigmaUntilFloor(std::size_t floor) : floor_(floor) {}
+  std::string name() const override { return "MaxSigmaUntilFloor"; }
+  std::optional<std::size_t> select(const core::CandidateView& candidates,
+                                    stats::Rng& rng) const override {
+    if (candidates.size() <= floor_) return std::nullopt;
+    return core::MaxSigma().select(candidates, rng);
+  }
+  std::unique_ptr<core::Strategy> clone() const override {
+    return std::make_unique<MaxSigmaUntilFloor>(*this);
+  }
+
+ private:
+  std::size_t floor_;
+};
+
+TEST(Checkpoint, ResumeThatPicksNothingKeepsStridedRecords) {
+  // Halt after pass 5, which is not an rmse_stride point, so the saved
+  // last record carries an older RMSE. The resumed run's first select
+  // finds no candidate; the end-of-run evaluation must then rewrite only
+  // that last record, as the uninterrupted run does.
+  const auto dataset = alamr::testing::synthetic_amr_dataset(110, 97);
+  core::AlOptions options = small_al_options(14);
+  options.rmse_stride = 4;
+  const core::AlSimulator sim(dataset, options);
+  const data::Partition partition = small_partition(dataset, options, 101);
+  const MaxSigmaUntilFloor strategy(partition.active.size() - 6);
+
+  stats::Rng rng_full(47);
+  const auto full = sim.run_with_partition(strategy, partition, rng_full);
+  ASSERT_EQ(full.iterations.size(), 6u);
+  EXPECT_EQ(full.stop_reason, core::StopReason::kNoSafeCandidates);
+  // Passes 1-3 carry pass 0's RMSE; pass 5 holds the final evaluation.
+  EXPECT_EQ(full.iterations[1].rmse_cost, full.iterations[0].rmse_cost);
+  EXPECT_NE(full.iterations[1].rmse_cost, full.iterations[5].rmse_cost);
+
+  const std::filesystem::path path = temp_checkpoint("resume_no_pick.json");
+  core::remove_durable_payload(path, core::CheckpointConfig{}.retain);
+  core::CheckpointConfig cfg;
+  cfg.path = path;
+  cfg.stride = 4;
+  cfg.halt_after_iterations = 6;
+  stats::Rng rng_first(47);
+  const auto first = sim.run_resumable(strategy, partition, rng_first, cfg);
+  EXPECT_EQ(first.stop_reason, core::StopReason::kCheckpointHalt);
+  ASSERT_TRUE(std::filesystem::exists(path));
+
+  cfg.resume = true;
+  cfg.halt_after_iterations = 0;
+  stats::Rng rng_second(47);
+  const auto resumed = sim.run_resumable(strategy, partition, rng_second, cfg);
+  EXPECT_EQ(resumed.stop_reason, core::StopReason::kNoSafeCandidates);
   EXPECT_EQ(core::trajectory_to_csv(resumed), core::trajectory_to_csv(full));
 }
 
