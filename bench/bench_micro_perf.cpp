@@ -188,9 +188,10 @@ void BM_CholeskyInverse(benchmark::State& state) {
 BENCHMARK(BM_CholeskyInverse)->Args({300, 0})->Args({300, 1});
 
 // P3 — one full hyperparameter-refit objective evaluation (LML value +
-// gradient) at fixed n. Arg 1 is the real path refits run:
-// log_marginal_likelihood consuming the training-distance cache and the
-// blocked factorization. Arg 0 replays the pre-cache recipe through public
+// gradient) at fixed n. Arg 1 is the real path refits run at the start
+// point and at every line-search trial that passes Armijo:
+// log_marginal_likelihood's value phase plus gradient phase, consuming the
+// training-distance cache and the blocked factorization. Arg 0 replays the pre-cache recipe through public
 // API: direct gram_with_gradients from features plus the unblocked
 // reference factorization, followed by the identical solve/inverse/trace
 // tail. The ratio is what each L-BFGS iteration gained.
@@ -250,10 +251,13 @@ void BM_RefitObjective(benchmark::State& state) {
 }
 BENCHMARK(BM_RefitObjective)->Args({300, 0})->Args({300, 1});
 
-// The value-only refit objective — what every multistart scoring probe and
-// every L-BFGS line-search trial evaluates when no gradient is requested.
-// Skips the gradient matrices and the O(n^3) inverse, so the distance-cache
-// and blocked-factor gains dominate the measurement.
+// The value-only LML — what the Nelder-Mead rung of the recovery ladder
+// and finite-difference checks evaluate. Not what an L-BFGS line-search
+// trial costs: the value phase a trial runs also builds the dK matrices,
+// and only a trial that passes Armijo goes on to the O(n^3) inverse and
+// the trace.
+// Skips the gradient matrices and the inverse, so the distance-cache and
+// blocked-factor gains dominate the measurement.
 void BM_RefitObjectiveValue(benchmark::State& state) {
   const bool optimized = state.range(1) != 0;
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -162,9 +162,21 @@ class GaussianProcessRegressor {
 
   /// LML (and gradient if `grad` non-empty) at arbitrary log-params,
   /// evaluated against the stored training data. Exposed for testing the
-  /// analytic gradient against finite differences.
+  /// analytic gradient against finite differences. With a gradient it is
+  /// the value phase plus the gradient phase of negative_lml_objective()
+  /// (negated); without one it factors the value-path gram_cached(), as
+  /// the posterior does.
   double log_marginal_likelihood(std::span<const double> log_params,
                                  std::span<double> grad) const;
+
+  /// The negative LML over the stored training data as the two-phase
+  /// objective L-BFGS minimizes (the one fit() optimizes). The value
+  /// phase builds the gradient-path K with its dK matrices, factors K and
+  /// computes alpha and the LML; the gradient phase adds K^{-1} from that
+  /// factor and the dK trace. The phases count gpr.lml_value and
+  /// gpr.lml_gradient. The model must outlive the objective and keep its
+  /// training data while it is used.
+  opt::PhasedObjective negative_lml_objective() const;
 
   bool fitted() const noexcept { return factor_.has_value(); }
   const Kernel& kernel() const noexcept { return kernel_; }
@@ -197,6 +209,34 @@ class GaussianProcessRegressor {
   /// Recomputes y_mean_ from y_raw_ (in-order sum, as fit() does) and
   /// refreshes the centered targets.
   void recenter_targets();
+
+  /// One LML evaluation point: the kernel at its theta, and the factor,
+  /// alpha and dK matrices that the value phase leaves for the gradient
+  /// phase.
+  struct LmlPoint {
+    Kernel probe;
+    std::optional<linalg::CholeskyFactor> factor;
+    std::vector<double> alpha;
+    std::vector<Matrix> gradients;  // dK/dtheta_j
+  };
+
+  /// A fresh point holding a copy of the kernel. Throws without training
+  /// data.
+  LmlPoint lml_point() const;
+
+  /// The value phase at `log_params`: the gradient-path K and its dK
+  /// matrices, K's jittered Cholesky factor, alpha and the LML, keeping
+  /// factor, alpha and dK.
+  double lml_value_phase(std::span<const double> log_params,
+                         LmlPoint& point) const;
+
+  /// The value phase on a given K (the factorization onward).
+  double lml_value_phase(const Matrix& k, LmlPoint& point) const;
+
+  /// The gradient phase: dLML/dtheta at the point's latest value phase,
+  /// from its factor's inverse and the trace against its dK.
+  void lml_gradient_phase(const LmlPoint& point,
+                          std::span<double> grad) const;
 
   /// Warm-started multistart L-BFGS over the LML; shared by fit() and
   /// fit_add_point() so both consume the rng stream identically.

@@ -48,8 +48,12 @@ std::string to_string(StopReason reason);
 
 /// Minimizes `f` starting from `x0`. If `bounds.active()`, iterates are
 /// kept inside the box and convergence is measured on the projected
-/// gradient. `f` must fill the gradient when asked.
-OptimizeResult lbfgs_minimize(const Objective& f, std::span<const double> x0,
+/// gradient. The run makes one phase state with `f()`. Every evaluation
+/// calls its `value`; `gradient` follows, at that same point, only for the
+/// start point and for line-search trials that pass the Armijo test.
+/// `evaluations` counts value calls.
+OptimizeResult lbfgs_minimize(const PhasedObjective& f,
+                              std::span<const double> x0,
                               const LbfgsOptions& options = {},
                               const Bounds& bounds = {});
 

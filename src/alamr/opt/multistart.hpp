@@ -21,10 +21,11 @@ struct MultistartOptions {
 /// Minimizes `f` from `x0` and from `restarts` random points inside
 /// `bounds` (which must be fully specified when restarts > 0); returns the
 /// best result found. Restarts run on the global thread pool, so `f` must
-/// tolerate concurrent calls; all starts are drawn from `rng` up-front and
-/// ties keep the earliest start, making the result independent of the
-/// thread count.
-OptimizeResult multistart_minimize(const Objective& f,
+/// tolerate concurrent calls; each start's L-BFGS run makes its own phase
+/// state, which only that run touches. All starts are drawn from `rng`
+/// up-front and ties keep the earliest start, making the result
+/// independent of the thread count.
+OptimizeResult multistart_minimize(const PhasedObjective& f,
                                    std::span<const double> x0,
                                    const Bounds& bounds,
                                    const MultistartOptions& options,

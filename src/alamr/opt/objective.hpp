@@ -3,9 +3,12 @@
 // Objective-function interface shared by the optimizers.
 //
 // GPR hyperparameter fitting (paper Eq. 9) maximizes the log marginal
-// likelihood; we minimize its negation. Objectives expose value and
-// (optionally) analytic gradient in one call because both come out of the
-// same Cholesky factorization.
+// likelihood; we minimize its negation. Nelder-Mead and the finite-
+// difference checker take a plain `Objective` (value, and the gradient
+// when asked, in one call). L-BFGS takes a `PhasedObjective`, whose
+// gradient is a separate call at the latest value point, so a line-search
+// trial it rejects never pays for one; both phases share that point's
+// Cholesky factorization.
 
 #include <functional>
 #include <span>
@@ -17,6 +20,23 @@ namespace alamr::opt {
 /// `grad.size()` is either 0 (value only) or x.size().
 using Objective =
     std::function<double(std::span<const double> x, std::span<double> grad)>;
+
+/// One L-BFGS run's view of a smooth objective, split in two phases:
+/// `value(x)` returns f(x), and `gradient(grad)` writes df/dx at the x of
+/// the latest `value` call. L-BFGS asks for a gradient only at the start
+/// point and at line-search trials that pass the Armijo test, so an
+/// objective whose gradient costs more than its value (the GPR LML: the
+/// gradient adds an O(n^3) inverse) pays for it only there. The gradient
+/// phase may reuse whatever the value phase computed at that point.
+struct ObjectivePhases {
+  std::function<double(std::span<const double> x)> value;
+  std::function<void(std::span<double> grad)> gradient;
+};
+
+/// Makes fresh phase state for one L-BFGS run. Multistart calls it once
+/// per start, possibly from several threads at once, so runs never share
+/// the state that ties a gradient to its value point.
+using PhasedObjective = std::function<ObjectivePhases()>;
 
 /// Central finite-difference gradient of a value-only function; used to
 /// verify analytic gradients in tests (LML gradient vs FD is one of the

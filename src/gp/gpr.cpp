@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numbers>
 #include <stdexcept>
 
@@ -27,69 +28,120 @@ GaussianProcessRegressor::GaussianProcessRegressor(Kernel kernel,
 
 double GaussianProcessRegressor::log_marginal_likelihood(
     std::span<const double> log_params, std::span<double> grad) const {
+  LmlPoint point = lml_point();
+  if (!grad.empty() && grad.size() != kernel_.num_params()) {
+    throw std::invalid_argument("GPR: gradient span size mismatch");
+  }
+  if (grad.empty()) {
+    // The plain value objective (Nelder-Mead, finite differences) factors
+    // the value-path gram, as the posterior does.
+    point.probe.set_log_params(log_params);
+    return lml_value_phase(point.probe.gram_cached(*train_dist_), point);
+  }
+  const double lml = lml_value_phase(log_params, point);
+  lml_gradient_phase(point, grad);
+  return lml;
+}
+
+opt::PhasedObjective GaussianProcessRegressor::negative_lml_objective() const {
+  (void)lml_point();  // fail now, not on a pool lane, when nothing is stored
+  return [this] {
+    // One point per L-BFGS run: the gradient phase reads the factor of
+    // that run's latest value phase, so concurrent multistart runs never
+    // see each other's factors and no trial is factored twice.
+    const auto point = std::make_shared<LmlPoint>(lml_point());
+    return opt::ObjectivePhases{
+        [this, point](std::span<const double> theta) {
+          return -lml_value_phase(theta, *point);
+        },
+        [this, point](std::span<double> grad) {
+          lml_gradient_phase(*point, grad);
+          for (double& g : grad) g = -g;
+        }};
+  };
+}
+
+GaussianProcessRegressor::LmlPoint GaussianProcessRegressor::lml_point() const {
   if (x_train_.empty()) {
     throw std::logic_error("GPR: no training data stored");
   }
-  // Evaluate against a scratch copy so the caller-visible kernel state is
-  // untouched (the optimizer probes many parameter vectors).
-  Kernel probe = kernel_;
-  probe.set_log_params(log_params);
+  // A scratch kernel, so the caller-visible kernel state is untouched
+  // (the optimizer probes many parameter vectors).
+  return LmlPoint{kernel_, std::nullopt, {}, {}};
+}
 
-  const std::size_t n = x_train_.rows();
-  std::vector<Matrix> gradients;
+double GaussianProcessRegressor::lml_value_phase(
+    std::span<const double> log_params, LmlPoint& point) const {
+  point.probe.set_log_params(log_params);
+  // The gradient-path K, whose dK matrices the gradient phase traces, so
+  // the factor it reuses is of the matrix the gradient differentiates.
+  // The dK matrices come out of the same pair loop as K at little extra
+  // cost; building them later would redo its exp() for every trial that
+  // gets a gradient.
+  return lml_value_phase(
+      point.probe.gram_with_gradients_cached(*train_dist_, point.gradients),
+      point);
+}
+
+double GaussianProcessRegressor::lml_value_phase(const Matrix& k,
+                                                 LmlPoint& point) const {
   // Every optimizer probe is an elementwise transform of the cached squared
   // distances; no feature passes. Thread-safe: the cache is read-only here
   // (fit() prepared it before optimization), so concurrent multistart
   // workers share it freely.
   core::trace::count("gpr.dist_cache_hit");
-  const Matrix k =
-      grad.empty() ? probe.gram_cached(*train_dist_)
-                   : probe.gram_with_gradients_cached(*train_dist_, gradients);
-
-  const auto [factor, jitter] =
-      linalg::cholesky_with_jitter(k, options_.initial_jitter, options_.max_jitter);
+  core::trace::count("gpr.lml_value");
+  point.factor.reset();  // at most one n x n factor alive per point
+  auto [factor, jitter] = linalg::cholesky_with_jitter(
+      k, options_.initial_jitter, options_.max_jitter);
   (void)jitter;
+  point.factor = std::move(factor);
 
-  const linalg::Vector alpha = factor.solve(y_train_);
-  double lml = -0.5 * linalg::dot(y_train_, alpha);
-  lml -= 0.5 * factor.log_det();
+  point.alpha.assign(y_train_.begin(), y_train_.end());
+  point.factor->solve_in_place(point.alpha);
+  const std::size_t n = x_train_.rows();
+  double lml = -0.5 * linalg::dot(y_train_, point.alpha);
+  lml -= 0.5 * point.factor->log_det();
   lml -= 0.5 * static_cast<double>(n) * kLogTwoPi;
-
-  if (!grad.empty()) {
-    if (grad.size() != probe.num_params()) {
-      throw std::invalid_argument("GPR: gradient span size mismatch");
-    }
-    // dLML/dtheta_j = 1/2 tr((alpha alpha^T - K^{-1}) dK/dtheta_j).
-    // Both alpha alpha^T - K^{-1} and dK are symmetric, so the trace needs
-    // only the upper triangle: diagonal terms once, off-diagonal doubled.
-    // All parameters share one pass: the alpha alpha^T - K^{-1} entry is
-    // computed once per (r, c) and fed to every gradient's accumulator,
-    // each of which sums the same terms in the same ascending-c order a
-    // per-parameter pass would.
-    const Matrix k_inv = factor.inverse();
-    const std::size_t np = gradients.size();
-    std::vector<double> traces(np, 0.0);
-    std::vector<double> off(np);
-    std::vector<const double*> dk_rows(np);
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto kinv_row = k_inv.row(r);
-      const double ar = alpha[r];
-      for (std::size_t j = 0; j < np; ++j) {
-        dk_rows[j] = gradients[j].row(r).data();
-        off[j] = 0.0;
-      }
-      for (std::size_t c = r + 1; c < n; ++c) {
-        const double s = ar * alpha[c] - kinv_row[c];
-        for (std::size_t j = 0; j < np; ++j) off[j] += s * dk_rows[j][c];
-      }
-      const double sd = ar * ar - kinv_row[r];
-      for (std::size_t j = 0; j < np; ++j) {
-        traces[j] += sd * dk_rows[j][r] + 2.0 * off[j];
-      }
-    }
-    for (std::size_t j = 0; j < np; ++j) grad[j] = 0.5 * traces[j];
-  }
   return lml;
+}
+
+void GaussianProcessRegressor::lml_gradient_phase(
+    const LmlPoint& point, std::span<double> grad) const {
+  core::trace::count("gpr.lml_gradient");
+  const std::size_t n = x_train_.rows();
+  const std::vector<Matrix>& gradients = point.gradients;
+  const std::vector<double>& alpha = point.alpha;
+
+  // dLML/dtheta_j = 1/2 tr((alpha alpha^T - K^{-1}) dK/dtheta_j).
+  // Both alpha alpha^T - K^{-1} and dK are symmetric, so the trace needs
+  // only the upper triangle: diagonal terms once, off-diagonal doubled.
+  // All parameters share one pass: the alpha alpha^T - K^{-1} entry is
+  // computed once per (r, c) and fed to every gradient's accumulator,
+  // each of which sums the same terms in the same ascending-c order a
+  // per-parameter pass would.
+  const Matrix k_inv = point.factor->inverse();
+  const std::size_t np = gradients.size();
+  std::vector<double> traces(np, 0.0);
+  std::vector<double> off(np);
+  std::vector<const double*> dk_rows(np);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto kinv_row = k_inv.row(r);
+    const double ar = alpha[r];
+    for (std::size_t j = 0; j < np; ++j) {
+      dk_rows[j] = gradients[j].row(r).data();
+      off[j] = 0.0;
+    }
+    for (std::size_t c = r + 1; c < n; ++c) {
+      const double s = ar * alpha[c] - kinv_row[c];
+      for (std::size_t j = 0; j < np; ++j) off[j] += s * dk_rows[j][c];
+    }
+    const double sd = ar * ar - kinv_row[r];
+    for (std::size_t j = 0; j < np; ++j) {
+      traces[j] += sd * dk_rows[j][r] + 2.0 * off[j];
+    }
+  }
+  for (std::size_t j = 0; j < np; ++j) grad[j] = 0.5 * traces[j];
 }
 
 double GaussianProcessRegressor::compute_posterior_unchecked() {
@@ -150,12 +202,7 @@ void GaussianProcessRegressor::recenter_targets() {
 }
 
 void GaussianProcessRegressor::optimize_hyperparameters(stats::Rng& rng) {
-  const opt::Objective negative_lml =
-      [this](std::span<const double> theta, std::span<double> grad) {
-        const double value = log_marginal_likelihood(theta, grad);
-        for (double& g : grad) g = -g;
-        return -value;
-      };
+  const opt::PhasedObjective negative_lml = negative_lml_objective();
 
   opt::MultistartOptions ms;
   ms.restarts = options_.restarts;

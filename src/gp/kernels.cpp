@@ -74,6 +74,15 @@ struct Unit {
   std::vector<double> inv_l2_dim;   // ARD, one per dimension
 };
 
+// A NaN distance (a NaN feature) makes the Matérn value and derivative
+// that one NaN. Evaluating (1 + s) * exp(-s) would multiply two NaNs of
+// opposite sign, and which one survives follows the compiler's operand
+// order, so gram, cross and the gradient path could disagree.
+inline double nan_value(double s, double* dlogl) {
+  if (dlogl != nullptr) *dlogl = s;
+  return s;
+}
+
 // Matérn value and d/d(log l) at squared distance r2 (dlogl may be null).
 template <Profile P>
 double matern(double r2, double length, double* dlogl) {
@@ -81,6 +90,7 @@ double matern(double r2, double length, double* dlogl) {
   if constexpr (P == Profile::kMatern32) {
     // k = (1 + s) exp(-s), s = sqrt(3) r / l;  dk/d(log l) = s^2 exp(-s).
     const double s = std::sqrt(3.0) * r / length;
+    if (std::isnan(s)) return nan_value(s, dlogl);
     const double e = std::exp(-s);
     if (dlogl != nullptr) *dlogl = s * s * e;
     return (1.0 + s) * e;
@@ -88,6 +98,7 @@ double matern(double r2, double length, double* dlogl) {
     // k = (1 + s + s^2/3) exp(-s), s = sqrt(5) r / l;
     // dk/d(log l) = s^2 (1 + s) / 3 * exp(-s).
     const double s = std::sqrt(5.0) * r / length;
+    if (std::isnan(s)) return nan_value(s, dlogl);
     const double e = std::exp(-s);
     if (dlogl != nullptr) *dlogl = s * s * (1.0 + s) / 3.0 * e;
     return (1.0 + s + s * s / 3.0) * e;
@@ -112,15 +123,17 @@ double unit_value(const Unit& u, const Source& src, std::size_t i,
 }
 
 // f at entry (i, j) on the gradient path, writing df/d(log l_d) to dl.
-// The RBF deliberately evaluates exp(-0.5 * r2 * inv_l2) here, not the
-// value path's exp(-r2 * inv_2l2): the two round differently, and each
-// path's bits are pinned.
+// The RBF evaluates exp(-(0.5 * r2) * inv_l2) here and the value path
+// exp(-r2 * inv_2l2). inv_2l2 is exactly inv_l2 / 2 and halving is exact,
+// so for a finite distance both exponents are the same double. Negating
+// 0.5 * r2 rather than 0.5 also gives a NaN distance the sign flip the
+// value path gives it, so both paths carry the same NaN.
 template <Profile P, class Source>
 double unit_gradient(const Unit& u, const Source& src, std::size_t i,
                      std::size_t j, double* dl) {
   if constexpr (P == Profile::kRbf) {
     const double r2 = src.r2(i, j);
-    const double v = std::exp(-0.5 * r2 * u.inv_l2);
+    const double v = std::exp(-(0.5 * r2) * u.inv_l2);
     // d/d(log l) exp(-r2 / (2 l^2)) = v * r2 / l^2.
     dl[0] = v * r2 * u.inv_l2;
     return v;

@@ -74,8 +74,10 @@ std::string to_string(StopReason reason) {
   return "unknown";
 }
 
-OptimizeResult lbfgs_minimize(const Objective& f, std::span<const double> x0,
-                              const LbfgsOptions& options, const Bounds& bounds) {
+OptimizeResult lbfgs_minimize(const PhasedObjective& f,
+                              std::span<const double> x0,
+                              const LbfgsOptions& options,
+                              const Bounds& bounds) {
   if (x0.empty()) throw std::invalid_argument("lbfgs: empty start point");
   bounds.validate(x0.size());
 
@@ -83,8 +85,10 @@ OptimizeResult lbfgs_minimize(const Objective& f, std::span<const double> x0,
   result.x.assign(x0.begin(), x0.end());
   bounds.project(result.x);
 
+  const ObjectivePhases phases = f();
   std::vector<double> grad(x0.size());
-  result.value = f(result.x, grad);
+  result.value = phases.value(result.x);
+  phases.gradient(grad);
   ++result.evaluations;
 
   std::deque<CorrectionPair> pairs;
@@ -149,7 +153,7 @@ OptimizeResult lbfgs_minimize(const Objective& f, std::span<const double> x0,
           }
         }
       }
-      candidate_value = f(candidate, candidate_grad);
+      candidate_value = phases.value(candidate);
       ++result.evaluations;
 
       // Sufficient decrease, measured against the actual displacement
@@ -168,6 +172,9 @@ OptimizeResult lbfgs_minimize(const Objective& f, std::span<const double> x0,
         step = 0.5 * (step_lo + step_hi);
         continue;
       }
+      // Only a trial that passes Armijo can be accepted or kept as the
+      // fallback, so only such a trial pays for its gradient.
+      phases.gradient(candidate_grad);
       if (clipped) {
         accepted = true;  // projected step with sufficient decrease
         break;

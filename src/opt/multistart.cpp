@@ -10,7 +10,7 @@
 
 namespace alamr::opt {
 
-OptimizeResult multistart_minimize(const Objective& f,
+OptimizeResult multistart_minimize(const PhasedObjective& f,
                                    std::span<const double> x0,
                                    const Bounds& bounds,
                                    const MultistartOptions& options,
@@ -52,7 +52,8 @@ OptimizeResult multistart_minimize(const Objective& f,
   }
 
   // The runs are independent; `f` may be called from several threads at
-  // once (the GPR objective only reads the stored training data).
+  // once (the GPR objective only reads the stored training data), and
+  // each run keeps its phase state to itself.
   std::vector<OptimizeResult> results(starts.size());
   core::parallel_for(starts.size(), [&](std::size_t r) {
     if (!diverged.empty() && diverged[r] != 0) {

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <span>
 
+#include "alamr/core/faults.hpp"
+#include "alamr/core/parallel.hpp"
+#include "alamr/core/trace.hpp"
+#include "alamr/linalg/simd.hpp"
 #include "alamr/stats/rng.hpp"
 
 namespace {
@@ -424,6 +429,123 @@ TEST(GprIncremental, AddPointBeforeFitThrows) {
   EXPECT_THROW(gpr.add_point(std::vector<double>{0.5}, 1.0), std::logic_error);
   EXPECT_THROW(gpr.fit_add_point(std::vector<double>{0.5}, 1.0, rng),
                std::logic_error);
+}
+
+
+// --- the two-phase LML objective --------------------------------------------
+
+namespace faults = alamr::core::faults;
+namespace trace = alamr::core::trace;
+
+// What one seeded fit with restarts = 2 did on the calling thread.
+struct FitWork {
+  std::uint64_t lml_value = 0;
+  std::uint64_t lml_gradient = 0;
+  std::uint64_t non_psd_hits = 0;
+  std::uint64_t non_psd_fires = 0;
+  std::vector<std::uint64_t> theta;  // bit patterns
+};
+
+// Fits a paper-kernel GPR to 40 noisy points of a smooth 2-D function,
+// with `threads` pool lanes, under a local trace collector and a fault
+// injector running `plan`. Both see only the calling thread's work: a
+// multistart start that runs on another lane counts in neither.
+FitWork seeded_fit(std::size_t threads, const faults::FaultPlan& plan) {
+  Rng rng(7);
+  const std::size_t n = 40;
+  Matrix x(n, 2);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = rng.uniform();
+    x(i, 1) = rng.uniform();
+    y[i] = std::sin(3.0 * x(i, 0)) + x(i, 1) * x(i, 1) + 0.05 * rng.normal();
+  }
+  alamr::core::set_global_parallel_threads(threads);
+  const bool was_enabled = trace::enabled();
+  trace::set_enabled(true);
+  trace::TraceCollector collector;
+  faults::FaultInjector injector(plan);
+  GprOptions options;
+  options.restarts = 2;
+  GaussianProcessRegressor gpr(make_paper_kernel(), options);
+  {
+    const trace::ScopedCollector trace_scope(collector);
+    const faults::ScopedFaultInjector fault_scope(injector);
+    Rng fit_rng(11);
+    gpr.fit(x, y, fit_rng);
+  }
+  trace::set_enabled(was_enabled);
+  alamr::core::set_global_parallel_threads(0);
+
+  const trace::TraceReport report = collector.report();
+  FitWork work;
+  work.lml_value = report.counter("gpr.lml_value");
+  work.lml_gradient = report.counter("gpr.lml_gradient");
+  work.non_psd_hits = injector.hits(faults::Site::kCholeskyNonPsd);
+  work.non_psd_fires = injector.fires(faults::Site::kCholeskyNonPsd);
+  for (const double v : gpr.kernel().log_params()) {
+    work.theta.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return work;
+}
+
+TEST(GprLmlPhases, WorkCountersRepeatAndFactorOncePerValue) {
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const FitWork first = seeded_fit(threads, faults::FaultPlan{});
+    const FitWork again = seeded_fit(threads, faults::FaultPlan{});
+    EXPECT_EQ(first.lml_value, again.lml_value);
+    EXPECT_EQ(first.lml_gradient, again.lml_gradient);
+    EXPECT_EQ(first.theta, again.theta);
+    // Rejected line-search trials skip the gradient phase...
+    EXPECT_GT(first.lml_gradient, 0u);
+    EXPECT_LT(first.lml_gradient, first.lml_value);
+    // ...and no phase factors twice: one Cholesky per value phase, plus
+    // the final posterior's.
+    EXPECT_EQ(first.non_psd_hits, first.lml_value + 1);
+    EXPECT_EQ(first.non_psd_fires, 0u);
+  }
+}
+
+// Injected non-PSD failures under hit and probability schedules. The
+// expected counters and theta bits were computed by the eager LML
+// objective this two-phase one replaced, at the scalar SIMD level (where
+// the byte goldens are pinned): each trial still factors exactly once, so
+// every schedule consults the same hit numbers. At 4 lanes only the warm
+// start runs on the calling thread, hence the smaller counts and, under
+// the hit schedule, a different fault history and theta.
+struct FaultPin {
+  const char* plan;
+  std::size_t threads;
+  std::uint64_t hits;
+  std::uint64_t fires;
+  std::vector<std::uint64_t> theta;
+};
+
+TEST(GprLmlPhases, FaultSchedulesMatchEagerObjective) {
+  namespace simd = alamr::linalg::simd;
+  const simd::Level saved = simd::active_level();
+  simd::set_level(simd::Level::kScalar);
+  const std::vector<std::uint64_t> p_theta{
+      0x3ff05786c454a6bbULL, 0xbfc385cc0e4d04f4ULL, 0xc017f262d962e173ULL};
+  const FaultPin pins[] = {
+      {"seed=5;cholesky.non_psd:hits=2|9|23|40", 1, 150, 4,
+       {0x3ff05786594623ceULL, 0xbfc385cccc56ecd2ULL, 0xc017f262dc64fbdaULL}},
+      {"seed=5;cholesky.non_psd:hits=2|9|23|40", 4, 30, 3,
+       {0x3ff05786985481aeULL, 0xbfc385cc67f41f38ULL, 0xc017f262db9709baULL}},
+      {"seed=5;cholesky.non_psd:p=0.08", 1, 159, 9, p_theta},
+      {"seed=5;cholesky.non_psd:p=0.08", 4, 34, 3, p_theta},
+  };
+  for (const FaultPin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.plan) + " threads " +
+                 std::to_string(pin.threads));
+    const FitWork work =
+        seeded_fit(pin.threads, faults::FaultPlan::parse(pin.plan));
+    EXPECT_EQ(work.non_psd_hits, pin.hits);
+    EXPECT_EQ(work.non_psd_fires, pin.fires);
+    EXPECT_EQ(work.theta, pin.theta);
+  }
+  simd::set_level(saved);
 }
 
 }  // namespace

@@ -339,11 +339,12 @@ TEST(KernelReference, AgreesOnSeededRandomProblems) {
 // for bit.
 //
 // The non-finite rows feed a NaN feature and a +inf feature. Those hashes
-// map every NaN to one canonical pattern: the Matérn value (1 + t) * e
-// multiplies two NaNs there, and which NaN survives follows the compiler's
-// operand order, not the source (the replaced tree itself gave the Matérn
-// 5/2 gram and cross opposite NaN signs). The RBF profiles propagate a
-// single NaN, so their raw bits are pinned as well.
+// map every NaN to one canonical pattern, because the replaced tree's
+// Matérn value (1 + t) * e multiplied two NaNs there, and which NaN
+// survived followed the compiler's operand order, not the source (it gave
+// the Matérn 5/2 gram and cross opposite NaN signs). Every profile now
+// propagates the single NaN of the distance, so the raw bits are pinned
+// too; the Matérn raw pins were computed after that change.
 
 std::uint64_t fnv(std::uint64_t h, std::span<const double> values,
                   bool canonical_nan = false) {
@@ -368,8 +369,8 @@ struct Pin {
   std::uint64_t diagonal;
   std::uint64_t nonfinite_gram;    // NaN-canonical
   std::uint64_t nonfinite_cross;   // NaN-canonical
-  std::uint64_t raw_nonfinite_gram;   // 0 = not pinned
-  std::uint64_t raw_nonfinite_cross;  // 0 = not pinned
+  std::uint64_t raw_nonfinite_gram;
+  std::uint64_t raw_nonfinite_cross;
 };
 
 constexpr Pin kPins[] = {
@@ -381,10 +382,10 @@ constexpr Pin kPins[] = {
      0x1405af8bab2c61f4ULL, 0x8904a6afeae37e7bULL, 0x1405af8bab2c61f4ULL},
     {Profile::kMatern32, 0x3058e78a086c8a53ULL, 0x2d17c0ac21cc8c15ULL,
      0xf5c29234809bb8fdULL, 0xb972cada4634d297ULL, 0x3c5fd07004bbf083ULL,
-     0x1a7d2d18398049d2ULL, 0, 0},
+     0x1a7d2d18398049d2ULL, 0x961963237f318183ULL, 0x176c8700603d30d2ULL},
     {Profile::kMatern52, 0xb438ff8610ba15dbULL, 0xe3ec45111b449ac1ULL,
      0xd0963ab3d2cba985ULL, 0xb972cada4634d297ULL, 0x8b6afe13c3492d37ULL,
-     0x1e324afec8e085eaULL, 0, 0},
+     0x1e324afec8e085eaULL, 0x3b4e5010d722d937ULL, 0x3f4c2ad2cfd1b1eaULL},
 };
 
 // c = 1.3, l = 0.7 (ARD: 0.5, 1.1, 0.8 set through log-params), s = 0.02.
@@ -447,10 +448,38 @@ TEST(KernelBitsPin, NonFiniteFeaturesMatchReplacedTree) {
     const Matrix cross = k.cross(x, y);
     EXPECT_EQ(fnv(kFnvBasis, g.data(), true), pin.nonfinite_gram);
     EXPECT_EQ(fnv(kFnvBasis, cross.data(), true), pin.nonfinite_cross);
-    if (pin.raw_nonfinite_gram != 0) {
-      EXPECT_EQ(fnv(kFnvBasis, g.data()), pin.raw_nonfinite_gram);
-      EXPECT_EQ(fnv(kFnvBasis, cross.data()), pin.raw_nonfinite_cross);
+    EXPECT_EQ(fnv(kFnvBasis, g.data()), pin.raw_nonfinite_gram);
+    EXPECT_EQ(fnv(kFnvBasis, cross.data()), pin.raw_nonfinite_cross);
+  }
+}
+
+TEST(KernelBitsPin, NanFeatureGivesOneNanOnEveryPath) {
+  // A NaN feature makes its row and column of K NaN. The value-path gram,
+  // the gradient-path K and the cross covariance must carry the same NaN
+  // bits there.
+  Rng rng(2026);
+  Matrix x = random_points(9, 3, rng);
+  x(2, 1) = std::numeric_limits<double>::quiet_NaN();
+  for (const Pin& pin : kPins) {
+    const Kernel k = pinned_kernel(pin.profile);
+    SCOPED_TRACE(k.describe());
+    PairwiseDistances dist = PairwiseDistances::train(x);
+    k.prepare_distances(dist);
+    const Matrix value_path = k.gram_cached(dist);
+    std::vector<Matrix> grads;
+    const Matrix gradient_path = k.gram_with_gradients_cached(dist, grads);
+    const Matrix cross = k.cross(x, x);
+    std::size_t nans = 0;
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      for (std::size_t j = 0; j < x.rows(); ++j) {
+        if (!std::isnan(value_path(i, j))) continue;
+        ++nans;
+        const auto bits = std::bit_cast<std::uint64_t>(value_path(i, j));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(gradient_path(i, j)), bits);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(cross(i, j)), bits);
+      }
     }
+    EXPECT_EQ(nans, 2 * (x.rows() - 1));
   }
 }
 

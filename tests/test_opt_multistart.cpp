@@ -7,10 +7,13 @@
 
 #include <cmath>
 
+#include "split_phases.hpp"
+
 namespace {
 
 using namespace alamr::opt;
 using alamr::stats::Rng;
+using alamr::testing::split_phases;
 
 // Double-well in 1D: minima at x = -1 (value 0) and x = +2 (value -1).
 Objective double_well() {
@@ -40,14 +43,16 @@ TEST(Multistart, EscapesLocalMinimum) {
   no_restart.restarts = 0;
   Rng rng1(11);
   const OptimizeResult local = multistart_minimize(
-      double_well(), std::vector<double>{-1.2}, bounds, no_restart, rng1);
+      split_phases(double_well()), std::vector<double>{-1.2}, bounds,
+      no_restart, rng1);
   EXPECT_NEAR(local.x[0], -1.0, 0.2);  // trapped in the left well
 
   MultistartOptions with_restarts;
   with_restarts.restarts = 8;
   Rng rng2(11);
   const OptimizeResult global = multistart_minimize(
-      double_well(), std::vector<double>{-1.2}, bounds, with_restarts, rng2);
+      split_phases(double_well()), std::vector<double>{-1.2}, bounds,
+      with_restarts, rng2);
   EXPECT_NEAR(global.x[0], 2.0, 0.2);  // found the deeper right well
   EXPECT_LT(global.value, local.value);
 }
@@ -61,7 +66,8 @@ TEST(Multistart, ZeroRestartsNeedsNoBounds) {
   options.restarts = 0;
   Rng rng(1);
   const OptimizeResult result =
-      multistart_minimize(f, std::vector<double>{3.0}, {}, options, rng);
+      multistart_minimize(split_phases(f), std::vector<double>{3.0}, {},
+                          options, rng);
   EXPECT_NEAR(result.x[0], 0.0, 1e-5);
 }
 
@@ -74,7 +80,8 @@ TEST(Multistart, RestartsWithoutBoundsThrow) {
   options.restarts = 2;
   Rng rng(1);
   EXPECT_THROW(
-      multistart_minimize(f, std::vector<double>{1.0}, {}, options, rng),
+      multistart_minimize(split_phases(f), std::vector<double>{1.0}, {},
+                          options, rng),
       std::invalid_argument);
 }
 
@@ -90,11 +97,11 @@ TEST(Multistart, NeverWorseThanWarmStartAlone) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Rng r1(seed);
     Rng r2(seed);
-    const double v0 = multistart_minimize(double_well(),
+    const double v0 = multistart_minimize(split_phases(double_well()),
                                           std::vector<double>{-2.0}, bounds,
                                           base, r1)
                           .value;
-    const double v1 = multistart_minimize(double_well(),
+    const double v1 = multistart_minimize(split_phases(double_well()),
                                           std::vector<double>{-2.0}, bounds,
                                           restarted, r2)
                           .value;
