@@ -99,6 +99,31 @@ std::optional<std::string> load_durable_payload(
 void remove_durable_payload(const std::filesystem::path& path,
                             std::size_t retain = 3);
 
+/// The model pair's share of a checkpoint, common to both payloads: what
+/// rebuilding the cost and memory surrogates at their saved state needs
+/// beyond the learned rows and labels, plus the rng stream and fault
+/// counters the continuation picks up from.
+struct ModelPairState {
+  /// Kernel log-hyperparameters of the two models. Ensemble backends
+  /// concatenate per-expert parameters in their log_params() order.
+  std::vector<double> theta_cost;
+  std::vector<double> theta_mem;
+
+  /// Opaque auxiliary backend state (PosteriorBackend::save_state) — state
+  /// NOT derivable from (learned rows, labels, theta), e.g. the
+  /// local-experts backend's frozen centroids. Empty for backends without
+  /// such state (exact, subset-of-data).
+  std::string backend_state_cost;
+  std::string backend_state_mem;
+
+  stats::Rng::State rng;
+
+  // Fault-injector counters, so the continuation consults schedules at
+  // the same hit numbers the uninterrupted run would have.
+  std::array<std::uint64_t, faults::kSiteCount> fault_hits{};
+  std::array<std::uint64_t, faults::kSiteCount> fault_fires{};
+};
+
 /// Everything run_trajectory needs to continue mid-flight.
 struct TrajectoryCheckpoint {
   /// Compatibility fingerprint: the trajectory fingerprint (options +
@@ -117,20 +142,7 @@ struct TrajectoryCheckpoint {
   std::vector<double> c_learned;
   std::vector<double> m_learned;
 
-  /// Kernel log-hyperparameters of the two models at the checkpoint.
-  /// Ensemble backends concatenate per-expert parameters in their
-  /// log_params() order.
-  std::vector<double> theta_cost;
-  std::vector<double> theta_mem;
-
-  /// Opaque auxiliary backend state (PosteriorBackend::save_state) — state
-  /// NOT derivable from (learned rows, labels, theta), e.g. the
-  /// local-experts backend's frozen centroids. Empty for backends without
-  /// such state (exact, subset-of-data).
-  std::string backend_state_cost;
-  std::string backend_state_mem;
-
-  stats::Rng::State rng;
+  ModelPairState models;
 
   double cc = 0.0;
   double cr = 0.0;
@@ -147,11 +159,6 @@ struct TrajectoryCheckpoint {
 
   std::uint64_t censored_count = 0;
   double censored_cost = 0.0;
-
-  // Fault-injector counters, so the continuation consults schedules at
-  // the same hit numbers the uninterrupted run would have.
-  std::array<std::uint64_t, faults::kSiteCount> fault_hits{};
-  std::array<std::uint64_t, faults::kSiteCount> fault_fires{};
 
   std::vector<IterationRecord> iterations;
 };
@@ -197,20 +204,12 @@ struct OnlineCheckpoint {
   std::vector<double> log_cost;
   std::vector<double> log_mem;
 
-  std::vector<double> theta_cost;
-  std::vector<double> theta_mem;
-  std::string backend_state_cost;
-  std::string backend_state_mem;
-
-  stats::Rng::State rng;
+  ModelPairState models;
 
   double cc = 0.0;
   double cr = 0.0;
   std::uint64_t oracle_giveups = 0;
   bool exhausted_safe_candidates = false;
-
-  std::array<std::uint64_t, faults::kSiteCount> fault_hits{};
-  std::array<std::uint64_t, faults::kSiteCount> fault_fires{};
 
   std::vector<OnlineRecord> records;
 };

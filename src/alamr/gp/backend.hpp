@@ -90,16 +90,6 @@ struct PosteriorSpans {
   std::span<const double> stddev;
 };
 
-/// Arena sizing hook: `outputs` doubles coexist for the whole pass (the
-/// mean/stddev spans handed back), `scratch` is the backend's transient
-/// peak while predicting. The simulator pre-sizes the pass arena at
-/// max(out_1 + scratch_1, out_1 + out_2 + scratch_2) — for two exact
-/// backends exactly the historical 4*m0 + z_peak bound.
-struct WorkspaceBound {
-  std::size_t outputs = 0;
-  std::size_t scratch = 0;
-};
-
 /// The surrogate-model contract of the AL inner loop. One instance serves
 /// one response (cost or memory) of one trajectory; instances are not
 /// thread-safe and not shared across trajectories.
@@ -133,7 +123,10 @@ class PosteriorBackend {
                          const CandidateRef* after) = 0;
 
   /// Posterior mean/stddev over the candidate pool. Cheap storage may be
-  /// carved from `ws` (freed when the caller's pass scope rewinds).
+  /// carved from `ws` (freed when the caller's pass scope rewinds): at
+  /// most 4·m0 doubles per call, m0 the widest pool swept so far (AL
+  /// pools only shrink) — the two outputs plus two tombstone staging
+  /// vectors. Callers pre-size their arenas from that limit.
   /// `with_mean = false` is a hint that the caller only needs the stddev
   /// sweep (uncertainty-only acquisition): a backend MAY then return an
   /// empty mean span and the caller recovers individual means through
@@ -188,12 +181,6 @@ class PosteriorBackend {
 
   /// Pre-sizes internal containers for `extra` future add_point calls.
   virtual void reserve_additional(std::size_t extra) = 0;
-
-  /// Pass-arena bound for a trajectory starting at n0 training points and
-  /// m0 candidates with `budget` acquisitions ahead. {0, 0} = the backend
-  /// does not use the arena.
-  virtual WorkspaceBound workspace_bound(std::size_t n0, std::size_t m0,
-                                         std::size_t budget) const = 0;
 
   /// Snapshot hook for off-path retraining (DESIGN.md §15): a deep,
   /// independent copy of the full backend state — training data, factor
@@ -276,8 +263,6 @@ class ResilientBackend final : public PosteriorBackend {
   std::string save_state() const override;
   void restore_state(const std::string& state) override;
   void reserve_additional(std::size_t extra) override;
-  WorkspaceBound workspace_bound(std::size_t n0, std::size_t m0,
-                                 std::size_t budget) const override;
   /// Deep copy: the inner backend is cloned and the breaker / ladder /
   /// retained-learned-set state is copied, so a snapshot degrades (or
   /// recovers) independently of the original.

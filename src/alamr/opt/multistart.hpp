@@ -24,7 +24,9 @@ struct MultistartOptions {
 /// tolerate concurrent calls; each start's L-BFGS run makes its own phase
 /// state, which only that run touches. All starts are drawn from `rng`
 /// up-front and ties keep the earliest start, making the result
-/// independent of the thread count.
+/// independent of the thread count. Under an armed fault injector the
+/// starts run serially on the calling thread, so the injector sees every
+/// start's fault sites in start order whatever the lane count.
 OptimizeResult multistart_minimize(const PhasedObjective& f,
                                    std::span<const double> x0,
                                    const Bounds& bounds,

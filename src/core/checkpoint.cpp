@@ -1,7 +1,6 @@
 #include "alamr/core/checkpoint.hpp"
 
 #include <array>
-#include <bit>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -9,6 +8,7 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "alamr/core/hex_bits.hpp"
 #include "alamr/core/trace.hpp"
 
 namespace alamr::core {
@@ -16,34 +16,8 @@ namespace alamr::core {
 namespace {
 
 // ---- JSON writing --------------------------------------------------------
-// Doubles are stored as the hex image of their 64 bits ("0x3ff0..."): text
-// round-trips are exact, NaN/inf included, independent of locale and
-// printf precision.
-
-std::string hex_bits(double v) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-  return buffer;
-}
-
-double bits_from_hex(const std::string& text) {
-  if (text.size() != 18 || text[0] != '0' || text[1] != 'x') {
-    throw std::runtime_error("checkpoint: bad double bit pattern '" + text +
-                             "'");
-  }
-  std::uint64_t bits = 0;
-  for (std::size_t i = 2; i < text.size(); ++i) {
-    const char c = text[i];
-    std::uint64_t digit = 0;
-    if (c >= '0' && c <= '9') digit = static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') digit = static_cast<std::uint64_t>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F') digit = static_cast<std::uint64_t>(c - 'A' + 10);
-    else throw std::runtime_error("checkpoint: bad hex digit in '" + text + "'");
-    bits = (bits << 4) | digit;
-  }
-  return std::bit_cast<double>(bits);
-}
+// Doubles are stored as the hex image of their 64 bits ("0x3ff0...", see
+// hex_bits.hpp).
 
 void write_escaped(std::ostringstream& os, const std::string& s) {
   os << '"';
@@ -96,9 +70,7 @@ struct JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object;
 
   const JsonValue& at(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return v;
-    }
+    if (const JsonValue* v = find(key)) return *v;
     throw std::runtime_error("checkpoint: missing key '" + key + "'");
   }
 
@@ -259,7 +231,7 @@ double read_double(const JsonValue& v) {
   if (v.type != JsonValue::Type::kString) {
     throw std::runtime_error("checkpoint: double must be a hex-bits string");
   }
-  return bits_from_hex(v.str);
+  return bits_from_hex(v.str, "checkpoint");
 }
 
 std::vector<double> read_double_array(const JsonValue& v) {
@@ -281,7 +253,96 @@ std::vector<std::uint64_t> read_u64_array(const JsonValue& v) {
   return out;
 }
 
+// ---- The model pair's block ---------------------------------------------
+// Both payloads carry a ModelPairState under the same keys, in their
+// historical order: theta, backend states and rng after the labels, the
+// fault counters after the payload's own scalars, which the writer takes
+// as a callback. Files already on disk keep their bytes.
+
+template <typename Between>
+void write_model_pair(std::ostringstream& os, const ModelPairState& s,
+                      Between&& between) {
+  write_double_array(os, "theta_cost", s.theta_cost);
+  os << ',';
+  write_double_array(os, "theta_mem", s.theta_mem);
+  os << ",\"backend_state_cost\":";
+  write_escaped(os, s.backend_state_cost);
+  os << ",\"backend_state_mem\":";
+  write_escaped(os, s.backend_state_mem);
+  os << ",\"rng\":{";
+  write_u64_array(os, "words", s.rng.words);
+  os << ",\"cached_normal\":\"" << hex_bits(s.rng.cached_normal) << '"'
+     << ",\"has_cached_normal\":"
+     << (s.rng.has_cached_normal ? "true" : "false") << '}';
+  between();
+  os << ',';
+  write_u64_array(os, "fault_hits", s.fault_hits);
+  os << ',';
+  write_u64_array(os, "fault_fires", s.fault_fires);
+}
+
+/// `who` prefixes the error messages ("checkpoint", "online checkpoint").
+/// The backend states are optional: files written before they existed
+/// still parse.
+ModelPairState read_model_pair(const JsonValue& root, const std::string& who) {
+  ModelPairState s;
+  s.theta_cost = read_double_array(root.at("theta_cost"));
+  s.theta_mem = read_double_array(root.at("theta_mem"));
+  if (const JsonValue* v = root.find("backend_state_cost")) {
+    s.backend_state_cost = v->str;
+  }
+  if (const JsonValue* v = root.find("backend_state_mem")) {
+    s.backend_state_mem = v->str;
+  }
+  const JsonValue& rng = root.at("rng");
+  const std::vector<std::uint64_t> words = read_u64_array(rng.at("words"));
+  if (words.size() != s.rng.words.size()) {
+    throw std::runtime_error(who + ": rng state must have 4 words");
+  }
+  std::copy(words.begin(), words.end(), s.rng.words.begin());
+  s.rng.cached_normal = read_double(rng.at("cached_normal"));
+  s.rng.has_cached_normal = rng.at("has_cached_normal").boolean;
+  const std::vector<std::uint64_t> hits = read_u64_array(root.at("fault_hits"));
+  const std::vector<std::uint64_t> fires =
+      read_u64_array(root.at("fault_fires"));
+  // Fewer counters than this build knows is a file written before new
+  // sites were appended — the missing tail starts at zero consultations,
+  // which is exactly right. More counters means an unknown newer site
+  // roster: refuse rather than silently drop state.
+  if (hits.size() > faults::kSiteCount || fires.size() > faults::kSiteCount ||
+      hits.size() != fires.size()) {
+    throw std::runtime_error(who + ": fault counter arity mismatch");
+  }
+  std::copy(hits.begin(), hits.end(), s.fault_hits.begin());
+  std::copy(fires.begin(), fires.end(), s.fault_fires.begin());
+  return s;
+}
+
+/// Parses `json` and gates its payload version against `max`.
+JsonValue parse_payload(const std::string& json, std::uint64_t max,
+                        const std::string& who) {
+  JsonValue root = JsonParser(json).parse();
+  const std::uint64_t version = root.at("version").number;
+  if (version > max) {
+    // Written by a newer build: refuse loudly and leave the file alone
+    // (treating this as corruption would quarantine state the newer
+    // build could still resume from).
+    throw CheckpointVersionError(
+        who + ": payload version " + std::to_string(version) +
+        " is newer than this build understands (max " + std::to_string(max) +
+        "); keeping the file");
+  }
+  if (version != max) {
+    throw std::runtime_error(who + ": unsupported version " +
+                             std::to_string(version));
+  }
+  return root;
+}
+
 constexpr std::uint64_t kVersion = 1;
+/// Payload schema version for OnlineCheckpoint (independent of the
+/// trajectory payload's version and of the frame format version).
+constexpr std::uint64_t kOnlineVersion = 1;
 
 }  // namespace
 
@@ -299,34 +360,22 @@ std::string checkpoint_to_json(const TrajectoryCheckpoint& s) {
   os << ',';
   write_double_array(os, "m_learned", s.m_learned);
   os << ',';
-  write_double_array(os, "theta_cost", s.theta_cost);
-  os << ',';
-  write_double_array(os, "theta_mem", s.theta_mem);
-  os << ",\"backend_state_cost\":";
-  write_escaped(os, s.backend_state_cost);
-  os << ",\"backend_state_mem\":";
-  write_escaped(os, s.backend_state_mem);
-  os << ",\"rng\":{";
-  write_u64_array(os, "words", s.rng.words);
-  os << ",\"cached_normal\":\"" << hex_bits(s.rng.cached_normal) << '"'
-     << ",\"has_cached_normal\":"
-     << (s.rng.has_cached_normal ? "true" : "false") << '}';
-  os << ",\"cc\":\"" << hex_bits(s.cc) << '"';
-  os << ",\"cr\":\"" << hex_bits(s.cr) << '"';
-  os << ",\"last_rmse_cost\":\"" << hex_bits(s.last_rmse_cost) << '"';
-  os << ",\"last_rmse_mem\":\"" << hex_bits(s.last_rmse_mem) << '"';
-  os << ",\"last_rmse_weighted\":\"" << hex_bits(s.last_rmse_weighted) << '"';
-  os << ",\"last_record_evaluated\":"
-     << (s.last_record_evaluated ? "true" : "false");
-  os << ",\"initial_rmse_cost\":\"" << hex_bits(s.initial_rmse_cost) << '"';
-  os << ",\"initial_rmse_mem\":\"" << hex_bits(s.initial_rmse_mem) << '"';
-  os << ",\"stable_streak\":" << s.stable_streak << ',';
-  write_double_array(os, "previous_cost_mu_log", s.previous_cost_mu_log);
-  os << ",\"censored_count\":" << s.censored_count;
-  os << ",\"censored_cost\":\"" << hex_bits(s.censored_cost) << "\",";
-  write_u64_array(os, "fault_hits", s.fault_hits);
-  os << ',';
-  write_u64_array(os, "fault_fires", s.fault_fires);
+  write_model_pair(os, s.models, [&] {
+    os << ",\"cc\":\"" << hex_bits(s.cc) << '"';
+    os << ",\"cr\":\"" << hex_bits(s.cr) << '"';
+    os << ",\"last_rmse_cost\":\"" << hex_bits(s.last_rmse_cost) << '"';
+    os << ",\"last_rmse_mem\":\"" << hex_bits(s.last_rmse_mem) << '"';
+    os << ",\"last_rmse_weighted\":\"" << hex_bits(s.last_rmse_weighted)
+       << '"';
+    os << ",\"last_record_evaluated\":"
+       << (s.last_record_evaluated ? "true" : "false");
+    os << ",\"initial_rmse_cost\":\"" << hex_bits(s.initial_rmse_cost) << '"';
+    os << ",\"initial_rmse_mem\":\"" << hex_bits(s.initial_rmse_mem) << '"';
+    os << ",\"stable_streak\":" << s.stable_streak << ',';
+    write_double_array(os, "previous_cost_mu_log", s.previous_cost_mu_log);
+    os << ",\"censored_count\":" << s.censored_count;
+    os << ",\"censored_cost\":\"" << hex_bits(s.censored_cost) << '"';
+  });
   os << ",\"iterations\":[";
   for (std::size_t i = 0; i < s.iterations.size(); ++i) {
     const IterationRecord& r = s.iterations[i];
@@ -353,21 +402,7 @@ std::string checkpoint_to_json(const TrajectoryCheckpoint& s) {
 }
 
 TrajectoryCheckpoint checkpoint_from_json(const std::string& json) {
-  const JsonValue root = JsonParser(json).parse();
-  const std::uint64_t version = root.at("version").number;
-  if (version > kVersion) {
-    // Written by a newer build: refuse loudly and leave the file alone
-    // (treating this as corruption would quarantine state the newer
-    // build could still resume from).
-    throw CheckpointVersionError(
-        "checkpoint: payload version " + std::to_string(version) +
-        " is newer than this build understands (max " +
-        std::to_string(kVersion) + "); keeping the file");
-  }
-  if (version != kVersion) {
-    throw std::runtime_error("checkpoint: unsupported version " +
-                             std::to_string(version));
-  }
+  const JsonValue root = parse_payload(json, kVersion, "checkpoint");
   TrajectoryCheckpoint s;
   s.fingerprint = root.at("fingerprint").str;
   s.passes = root.at("passes").number;
@@ -376,24 +411,7 @@ TrajectoryCheckpoint checkpoint_from_json(const std::string& json) {
   s.active = read_u64_array(root.at("active"));
   s.c_learned = read_double_array(root.at("c_learned"));
   s.m_learned = read_double_array(root.at("m_learned"));
-  s.theta_cost = read_double_array(root.at("theta_cost"));
-  s.theta_mem = read_double_array(root.at("theta_mem"));
-  if (const JsonValue* v = root.find("backend_state_cost")) {
-    s.backend_state_cost = v->str;
-  }
-  if (const JsonValue* v = root.find("backend_state_mem")) {
-    s.backend_state_mem = v->str;
-  }
-  {
-    const JsonValue& rng = root.at("rng");
-    const std::vector<std::uint64_t> words = read_u64_array(rng.at("words"));
-    if (words.size() != s.rng.words.size()) {
-      throw std::runtime_error("checkpoint: rng state must have 4 words");
-    }
-    std::copy(words.begin(), words.end(), s.rng.words.begin());
-    s.rng.cached_normal = read_double(rng.at("cached_normal"));
-    s.rng.has_cached_normal = rng.at("has_cached_normal").boolean;
-  }
+  s.models = read_model_pair(root, "checkpoint");
   s.cc = read_double(root.at("cc"));
   s.cr = read_double(root.at("cr"));
   s.last_rmse_cost = read_double(root.at("last_rmse_cost"));
@@ -406,19 +424,6 @@ TrajectoryCheckpoint checkpoint_from_json(const std::string& json) {
   s.previous_cost_mu_log = read_double_array(root.at("previous_cost_mu_log"));
   s.censored_count = root.at("censored_count").number;
   s.censored_cost = read_double(root.at("censored_cost"));
-  const std::vector<std::uint64_t> hits = read_u64_array(root.at("fault_hits"));
-  const std::vector<std::uint64_t> fires =
-      read_u64_array(root.at("fault_fires"));
-  // Fewer counters than this build knows is a file written before new
-  // sites were appended — the missing tail starts at zero consultations,
-  // which is exactly right. More counters means an unknown newer site
-  // roster: refuse rather than silently drop state.
-  if (hits.size() > faults::kSiteCount || fires.size() > faults::kSiteCount ||
-      hits.size() != fires.size()) {
-    throw std::runtime_error("checkpoint: fault counter arity mismatch");
-  }
-  std::copy(hits.begin(), hits.end(), s.fault_hits.begin());
-  std::copy(fires.begin(), fires.end(), s.fault_fires.begin());
   for (const JsonValue& rec : root.at("iterations").array) {
     IterationRecord r;
     r.iteration = rec.at("iteration").number;
@@ -709,14 +714,6 @@ void remove_checkpoint(const std::filesystem::path& path, std::size_t retain) {
 
 // ---- Online-run checkpoint ------------------------------------------------
 
-namespace {
-
-/// Payload schema version for OnlineCheckpoint (independent of the
-/// trajectory payload's version and of the frame format version).
-constexpr std::uint64_t kOnlineVersion = 1;
-
-}  // namespace
-
 std::string online_checkpoint_to_json(const OnlineCheckpoint& s) {
   std::ostringstream os;
   os << "{\"version\":" << kOnlineVersion << ",";
@@ -732,26 +729,13 @@ std::string online_checkpoint_to_json(const OnlineCheckpoint& s) {
   os << ',';
   write_double_array(os, "log_mem", s.log_mem);
   os << ',';
-  write_double_array(os, "theta_cost", s.theta_cost);
-  os << ',';
-  write_double_array(os, "theta_mem", s.theta_mem);
-  os << ",\"backend_state_cost\":";
-  write_escaped(os, s.backend_state_cost);
-  os << ",\"backend_state_mem\":";
-  write_escaped(os, s.backend_state_mem);
-  os << ",\"rng\":{";
-  write_u64_array(os, "words", s.rng.words);
-  os << ",\"cached_normal\":\"" << hex_bits(s.rng.cached_normal) << '"'
-     << ",\"has_cached_normal\":"
-     << (s.rng.has_cached_normal ? "true" : "false") << '}';
-  os << ",\"cc\":\"" << hex_bits(s.cc) << '"';
-  os << ",\"cr\":\"" << hex_bits(s.cr) << '"';
-  os << ",\"oracle_giveups\":" << s.oracle_giveups;
-  os << ",\"exhausted_safe_candidates\":"
-     << (s.exhausted_safe_candidates ? "true" : "false") << ',';
-  write_u64_array(os, "fault_hits", s.fault_hits);
-  os << ',';
-  write_u64_array(os, "fault_fires", s.fault_fires);
+  write_model_pair(os, s.models, [&] {
+    os << ",\"cc\":\"" << hex_bits(s.cc) << '"';
+    os << ",\"cr\":\"" << hex_bits(s.cr) << '"';
+    os << ",\"oracle_giveups\":" << s.oracle_giveups;
+    os << ",\"exhausted_safe_candidates\":"
+       << (s.exhausted_safe_candidates ? "true" : "false");
+  });
   os << ",\"records\":[";
   for (std::size_t i = 0; i < s.records.size(); ++i) {
     const OnlineRecord& r = s.records[i];
@@ -771,18 +755,8 @@ std::string online_checkpoint_to_json(const OnlineCheckpoint& s) {
 }
 
 OnlineCheckpoint online_checkpoint_from_json(const std::string& json) {
-  const JsonValue root = JsonParser(json).parse();
-  const std::uint64_t version = root.at("version").number;
-  if (version > kOnlineVersion) {
-    throw CheckpointVersionError(
-        "online checkpoint: payload version " + std::to_string(version) +
-        " is newer than this build understands (max " +
-        std::to_string(kOnlineVersion) + "); keeping the file");
-  }
-  if (version != kOnlineVersion) {
-    throw std::runtime_error("online checkpoint: unsupported version " +
-                             std::to_string(version));
-  }
+  const JsonValue root =
+      parse_payload(json, kOnlineVersion, "online checkpoint");
   if (const JsonValue* kind = root.find("kind");
       kind == nullptr || kind->str != "online") {
     throw std::runtime_error(
@@ -800,33 +774,11 @@ OnlineCheckpoint online_checkpoint_from_json(const std::string& json) {
     throw std::runtime_error(
         "online checkpoint: label/visited length mismatch");
   }
-  s.theta_cost = read_double_array(root.at("theta_cost"));
-  s.theta_mem = read_double_array(root.at("theta_mem"));
-  s.backend_state_cost = root.at("backend_state_cost").str;
-  s.backend_state_mem = root.at("backend_state_mem").str;
-  {
-    const JsonValue& rng = root.at("rng");
-    const std::vector<std::uint64_t> words = read_u64_array(rng.at("words"));
-    if (words.size() != s.rng.words.size()) {
-      throw std::runtime_error("online checkpoint: rng state must have 4 words");
-    }
-    std::copy(words.begin(), words.end(), s.rng.words.begin());
-    s.rng.cached_normal = read_double(rng.at("cached_normal"));
-    s.rng.has_cached_normal = rng.at("has_cached_normal").boolean;
-  }
+  s.models = read_model_pair(root, "online checkpoint");
   s.cc = read_double(root.at("cc"));
   s.cr = read_double(root.at("cr"));
   s.oracle_giveups = root.at("oracle_giveups").number;
   s.exhausted_safe_candidates = root.at("exhausted_safe_candidates").boolean;
-  const std::vector<std::uint64_t> hits = read_u64_array(root.at("fault_hits"));
-  const std::vector<std::uint64_t> fires =
-      read_u64_array(root.at("fault_fires"));
-  if (hits.size() > faults::kSiteCount || fires.size() > faults::kSiteCount ||
-      hits.size() != fires.size()) {
-    throw std::runtime_error("online checkpoint: fault counter arity mismatch");
-  }
-  std::copy(hits.begin(), hits.end(), s.fault_hits.begin());
-  std::copy(fires.begin(), fires.end(), s.fault_fires.begin());
   for (const JsonValue& rec : root.at("records").array) {
     OnlineRecord r;
     r.grid_row = rec.at("grid_row").number;

@@ -48,15 +48,12 @@ void Refit::run() {
   std::optional<faults::ScopedFaultInjector> scope;
   if (injector) scope.emplace(*injector);
   const linalg::Matrix x = linalg::gather_rows(ctx->grid_scaled, rows);
-  cost->set_fit_options(fit);
-  mem->set_fit_options(fit);
-  cost->fit(x, log_cost, rng, ctx->base(), rows);
-  mem->fit(x, log_mem, rng, ctx->base(), rows);
+  models.set_fit_options(fit);
+  models.fit(x, log_cost, log_mem, rng, ctx->base(), rows);
   // Between refits the request path only pays one-row Cholesky extends at
   // the theta this fit just produced — re-optimizing there would put the
   // full-refit cost back on the request path.
-  cost->set_fit_options(extend);
-  mem->set_fit_options(extend);
+  models.set_fit_options(extend);
 }
 
 OnlineSession::OnlineSession(std::shared_ptr<const GridContext> ctx,
@@ -79,13 +76,9 @@ OnlineSession::OnlineSession(std::shared_ptr<const GridContext> ctx,
 
   // Surrogates behind the degradation ladder (DESIGN.md §14), constructed
   // with the thorough initial-fit options like the simulator's backends.
-  const auto kernel_factory = [] { return gp::make_paper_kernel(); };
-  model_cost_ = gp::make_resilient_backend(options_.backend,
-                                           options_.resilience, kernel_factory,
-                                           options_.initial_fit);
-  model_mem_ = gp::make_resilient_backend(options_.backend,
-                                          options_.resilience, kernel_factory,
-                                          options_.initial_fit);
+  models_ = ModelPair(options_.backend, options_.resilience,
+                      [] { return gp::make_paper_kernel(); },
+                      options_.initial_fit);
   if (!std::isnan(options_.memory_limit_log10)) {
     limit_mb_ = std::pow(10.0, options_.memory_limit_log10);
   }
@@ -93,15 +86,7 @@ OnlineSession::OnlineSession(std::shared_ptr<const GridContext> ctx,
   const std::size_t rows = ctx_->grid.rows();
   remaining_.resize(rows);
   std::iota(remaining_.begin(), remaining_.end(), std::size_t{0});
-
-  // Pre-size the pass arena like the simulator does: both models'
-  // outputs coexist during a sweep, plus the larger scratch peak.
-  const gp::WorkspaceBound bc = model_cost_->workspace_bound(
-      options_.n_init, rows, options_.iterations);
-  const gp::WorkspaceBound bm = model_mem_->workspace_bound(
-      options_.n_init, rows, options_.iterations);
-  ws_.emplace(std::max(bc.outputs + bc.scratch,
-                       bc.outputs + bm.outputs + bm.scratch));
+  ws_.emplace(ModelPair::arena_doubles(rows));
 }
 
 bool OnlineSession::initial_phase() const noexcept {
@@ -186,22 +171,17 @@ Suggestion OnlineSession::suggest() {
     // let the backend skip the O(n·m) mean pass; only the selected
     // candidate's mean is recovered afterwards, bit-identically.
     const bool with_mean = strategy_->needs_mean();
-    const gp::PosteriorSpans pc =
-        model_cost_->predict_candidates(pool, *ws_, with_mean);
-    const gp::PosteriorSpans pm =
-        model_mem_->predict_candidates(pool, *ws_, with_mean);
-    const CandidateView view{x_active_, pc.mean, pc.stddev, pm.mean,
-                             pm.stddev};
+    const ModelPair::Posterior post =
+        models_.predict_candidates(pool, *ws_, with_mean);
+    const CandidateView view{x_active_, post.cost.mean, post.cost.stddev,
+                             post.mem.mean, post.mem.stddev};
     const std::optional<std::size_t> pick = strategy_->select(view, rng_);
     if (!pick) {
       exhausted_ = true;
       out.done = true;
       return out;
     }
-    const double mu_c = pc.mean.empty() ? model_cost_->candidate_mean(*pick)
-                                        : pc.mean[*pick];
-    const double mu_m = pm.mean.empty() ? model_mem_->candidate_mean(*pick)
-                                        : pm.mean[*pick];
+    const auto [mu_c, mu_m] = models_.candidate_means(post, *pick);
     pending_ = Pending{*pick, remaining_[*pick], mu_c, mu_m, /*initial=*/false};
   }
   out.grid_row = pending_->row;
@@ -226,8 +206,7 @@ void OnlineSession::observe(double cost, double memory) {
   }
   ++al_done_;
   // Keep the candidate-panel caches aligned with the shrunken pool.
-  model_cost_->remove_candidate(p.local);
-  model_mem_->remove_candidate(p.local);
+  models_.remove_candidate(p.local);
   learn(p, cost, memory);
   if (++since_retrain_ >= stride_) {
     since_retrain_ = 0;
@@ -242,9 +221,8 @@ void OnlineSession::observe(double cost, double memory) {
     after.emplace(gp::CandidateRef{x_active_, remaining_});
   }
   const gp::CandidateRef* after_ptr = after ? &*after : nullptr;
-  const auto x = ctx_->grid_scaled.row(p.row);
-  model_cost_->add_point(x, log_cost_.back(), p.row, rng_, after_ptr);
-  model_mem_->add_point(x, log_mem_.back(), p.row, rng_, after_ptr);
+  models_.add_point(ctx_->grid_scaled.row(p.row), log_cost_.back(),
+                    log_mem_.back(), p.row, rng_, after_ptr);
 }
 
 void OnlineSession::observe_failure() {
@@ -258,14 +236,12 @@ void OnlineSession::observe_failure() {
     return;
   }
   ++al_done_;  // the iteration is consumed; the models never see the row
-  model_cost_->remove_candidate(p.local);
-  model_mem_->remove_candidate(p.local);
+  models_.remove_candidate(p.local);
 }
 
 Refit OnlineSession::take_refit(bool clone) {
   Refit job;
-  job.cost = clone ? model_cost_->clone() : std::move(model_cost_);
-  job.mem = clone ? model_mem_->clone() : std::move(model_mem_);
+  job.models = clone ? models_.clone() : std::move(models_);
   job.rows = visited_;
   job.log_cost = log_cost_;
   job.log_mem = log_mem_;
@@ -283,8 +259,7 @@ void OnlineSession::adopt(Refit& done) {
   // Any draws or fault-site consultations made between take_refit and
   // adopt are superseded: the refit's copies are the canonical
   // continuation, exactly as if it had run in place.
-  model_cost_ = std::move(done.cost);
-  model_mem_ = std::move(done.mem);
+  models_ = std::move(done.models);
   rng_ = done.rng;
   if (injector_ && done.injector) {
     injector_->restore_counters(done.injector->hit_counters(),
@@ -309,7 +284,7 @@ QueryResult OnlineSession::query(const linalg::Matrix& x) const {
         "online session: query before the session learned anything");
   }
   const linalg::Matrix xs = ctx_->scaler.transform(x);
-  return QueryResult{model_cost_->predict(xs), model_mem_->predict(xs)};
+  return QueryResult{models_.cost().predict(xs), models_.mem().predict(xs)};
 }
 
 SessionStatus OnlineSession::status() const {
@@ -322,8 +297,8 @@ SessionStatus OnlineSession::status() const {
   st.suggestion_pending = pending_.has_value();
   st.done = done() && !pending_;
   st.exhausted_safe_candidates = exhausted_;
-  st.cost_active = active_kind(*model_cost_, st.cost_health);
-  st.mem_active = active_kind(*model_mem_, st.mem_health);
+  st.cost_active = active_kind(models_.cost(), st.cost_health);
+  st.mem_active = active_kind(models_.mem(), st.mem_health);
   return st;
 }
 
@@ -340,21 +315,11 @@ OnlineCheckpoint OnlineSession::snapshot() const {
   s.skipped.assign(skipped_.begin(), skipped_.end());
   s.log_cost = log_cost_;
   s.log_mem = log_mem_;
-  s.theta_cost = model_cost_->log_params();
-  s.theta_mem = model_mem_->log_params();
-  s.backend_state_cost = model_cost_->save_state();
-  s.backend_state_mem = model_mem_->save_state();
-  s.rng = rng_.save_state();
+  s.models = models_.save(rng_, injector_ ? &*injector_ : nullptr);
   s.cc = cc_;
   s.cr = cr_;
   s.oracle_giveups = giveups_;
   s.exhausted_safe_candidates = exhausted_;
-  if (injector_) {
-    const auto hits = injector_->hit_counters();
-    const auto fires = injector_->fire_counters();
-    std::copy(hits.begin(), hits.end(), s.fault_hits.begin());
-    std::copy(fires.begin(), fires.end(), s.fault_fires.begin());
-  }
   s.records = records_;
   return s;
 }
@@ -383,32 +348,13 @@ void OnlineSession::restore(const OnlineCheckpoint& saved) {
     if (gone[i] == 0) remaining_.push_back(i);
   }
 
-  // Rebuild both surrogates AT the saved hyperparameters — rng-free
-  // (optimize off); the injector counters are restored right after, so
-  // any fault-site consultations the rebuild makes are discarded. The
-  // models keep these non-optimizing options: until the next refit sets
-  // its own effort, the request path only extends at fixed theta.
-  gp::GprOptions rebuild = options_.refit;
-  rebuild.optimize = false;
-  model_cost_->set_fit_options(rebuild);
-  model_mem_->set_fit_options(rebuild);
-  if (!saved.backend_state_cost.empty()) {
-    model_cost_->restore_state(saved.backend_state_cost);
-  }
-  if (!saved.backend_state_mem.empty()) {
-    model_mem_->restore_state(saved.backend_state_mem);
-  }
-  model_cost_->set_log_params(saved.theta_cost);
-  model_mem_->set_log_params(saved.theta_mem);
-  if (!visited_.empty()) {
-    const linalg::Matrix x = linalg::gather_rows(ctx_->grid_scaled, visited_);
-    model_cost_->fit(x, log_cost_, rng_, ctx_->base(), visited_);
-    model_mem_->fit(x, log_mem_, rng_, ctx_->base(), visited_);
-  }
-  rng_.restore_state(saved.rng);
-  if (injector_) {
-    injector_->restore_counters(saved.fault_hits, saved.fault_fires);
-  }
+  // Rebuild both surrogates at the saved hyperparameters. They keep the
+  // rebuild's non-optimizing options: until the next refit sets its own
+  // effort, the request path only extends at fixed theta.
+  models_.rebuild(saved.models, options_.refit,
+                  linalg::gather_rows(ctx_->grid_scaled, visited_), log_cost_,
+                  log_mem_, rng_, ctx_->base(), visited_,
+                  injector_ ? &*injector_ : nullptr);
   if (init_done_ >= options_.n_init && !visited_.empty()) {
     // The thorough initial fit already happened (its result travels in
     // theta). Re-derive the stride phase so the refit schedule — and the
@@ -428,8 +374,9 @@ OnlineResult OnlineSession::release() {
   result.records = std::move(records_);
   result.exhausted_safe_candidates = exhausted_;
   result.oracle_giveups = giveups_;
-  result.cost_model = std::move(model_cost_);
-  result.memory_model = std::move(model_mem_);
+  auto [cost, mem] = models_.release();
+  result.cost_model = std::move(cost);
+  result.memory_model = std::move(mem);
   return result;
 }
 

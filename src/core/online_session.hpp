@@ -25,6 +25,7 @@
 #include "alamr/core/checkpoint.hpp"
 #include "alamr/core/serve.hpp"
 #include "alamr/data/transforms.hpp"
+#include "model_pair.hpp"
 
 namespace alamr::core {
 
@@ -59,8 +60,7 @@ void validate_online_setup(const linalg::Matrix& grid,
 /// runs it on clones (off the request path) or on the session's own
 /// models (in place); OnlineSession::adopt takes the result back.
 struct Refit {
-  std::unique_ptr<gp::PosteriorBackend> cost;
-  std::unique_ptr<gp::PosteriorBackend> mem;
+  ModelPair models;
   std::vector<std::size_t> rows;  // learned rows, in learning order
   std::vector<double> log_cost;
   std::vector<double> log_mem;
@@ -94,7 +94,7 @@ class OnlineSession {
   /// candidate, or nothing could be learned).
   bool done() const noexcept;
   bool pending() const noexcept { return pending_.has_value(); }
-  bool fitted() const noexcept { return model_cost_->fitted(); }
+  bool fitted() const noexcept { return models_.fitted(); }
   /// Grid rows run or abandoned so far.
   std::size_t consumed() const noexcept {
     return visited_.size() + skipped_.size();
@@ -158,8 +158,7 @@ class OnlineSession {
   std::string fingerprint_;
   std::optional<faults::FaultInjector> injector_;
   stats::Rng rng_;
-  std::unique_ptr<gp::PosteriorBackend> model_cost_;
-  std::unique_ptr<gp::PosteriorBackend> model_mem_;
+  ModelPair models_;
   std::optional<linalg::Workspace> ws_;  // pass arena, sized up front
   linalg::Matrix x_active_{0, 0};        // gathered remaining-candidate tile
   double limit_mb_ = 0.0;                // L_mem in MB, for regret

@@ -9,6 +9,7 @@
 #include "alamr/core/metrics.hpp"
 #include "alamr/linalg/simd.hpp"
 #include "alamr/stats/descriptive.hpp"
+#include "model_pair.hpp"
 
 namespace alamr::core {
 
@@ -317,61 +318,31 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
   const std::vector<double> mem_test = gather(dataset_.memory, partition.test);
 
   // Per-response posterior backends (DESIGN.md §12), fitted on the Init
-  // partition with the thorough options.
-  const auto kernel_factory = [this] { return make_kernel(); };
-  const std::unique_ptr<gp::PosteriorBackend> backend_cost =
-      gp::make_resilient_backend(options_.backend, options_.resilience,
-                                 kernel_factory, options_.initial_fit);
-  const std::unique_ptr<gp::PosteriorBackend> backend_mem =
-      gp::make_resilient_backend(options_.backend, options_.resilience,
-                                 kernel_factory, options_.initial_fit);
-  // Concrete handles for the resilience surface (null when the layer is
-  // disabled): injected acquisition timeouts are attributed to both
-  // models' breakers — the acquisition sweep consumed both posteriors.
-  gp::ResilientBackend* const resilient_cost =
-      dynamic_cast<gp::ResilientBackend*>(backend_cost.get());
-  gp::ResilientBackend* const resilient_mem =
-      dynamic_cast<gp::ResilientBackend*>(backend_mem.get());
-
+  // partition with the thorough options — or, on resume, rebuilt at the
+  // saved hyperparameters on the saved training set and labels
+  // (penalized labels included), so the continuation cannot diverge.
+  ModelPair models(options_.backend, options_.resilience,
+                   [this] { return make_kernel(); }, options_.initial_fit);
   if (!resumed) {
     state.fingerprint = compat;
     learned = partition.init;  // Init + selected rows
     active = partition.active;
     state.c_learned = gather(log_cost_, learned);
     state.m_learned = gather(log_mem_, learned);
-  } else {
-    // Rebuild the exact mid-trajectory state: backends refit AT the saved
-    // hyperparameters with optimization disabled (no rng draws) on the
-    // saved training set and labels (penalized labels included) — the
-    // posterior is a pure function of (X, y, theta) plus any opaque
-    // backend state (restored first), and the full rebuild produces the
-    // same bits the live incremental path had (golden-tested), so the
-    // continuation cannot diverge.
-    gp::GprOptions rebuild = options_.refit;
-    rebuild.optimize = false;
-    backend_cost->set_fit_options(rebuild);
-    backend_mem->set_fit_options(rebuild);
-    if (!state.backend_state_cost.empty()) {
-      backend_cost->restore_state(state.backend_state_cost);
-    }
-    if (!state.backend_state_mem.empty()) {
-      backend_mem->restore_state(state.backend_state_mem);
-    }
-    backend_cost->set_log_params(state.theta_cost);
-    backend_mem->set_log_params(state.theta_mem);
   }
   {
     const linalg::Matrix x_learned = linalg::gather_rows(x_scaled_, learned);
     const trace::ScopedTimer timer("init");
-    backend_cost->fit(x_learned, state.c_learned, rng, base, learned);
-    backend_mem->fit(x_learned, state.m_learned, rng, base, learned);
+    if (resumed) {
+      models.rebuild(state.models, options_.refit, x_learned, state.c_learned,
+                     state.m_learned, rng, base, learned,
+                     injector ? &*injector : nullptr);
+    } else {
+      models.fit(x_learned, state.c_learned, state.m_learned, rng, base,
+                 learned);
+    }
   }
-  if (resumed) {
-    rng.restore_state(state.rng);
-    if (injector) injector->restore_counters(state.fault_hits, state.fault_fires);
-  }
-  backend_cost->set_fit_options(options_.refit);
-  backend_mem->set_fit_options(options_.refit);
+  models.set_fit_options(options_.refit);
   // Within a round of size > 1 every trained point but the last is a
   // one-row extend at fixed theta; the last one refits.
   gp::GprOptions extend = options_.refit;
@@ -396,8 +367,8 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
   // Eq. 12, each test residual weighted by the sample's actual cost).
   const auto evaluate = [&] {
     const trace::ScopedTimer timer("rmse");
-    state.last_rmse_cost = test_rmse(*backend_cost, cost_test, &cost_mu_log);
-    state.last_rmse_mem = test_rmse(*backend_mem, mem_test);
+    state.last_rmse_cost = test_rmse(models.cost(), cost_test, &cost_mu_log);
+    state.last_rmse_mem = test_rmse(models.mem(), mem_test);
     state.last_rmse_weighted =
         weighted_rmse(data::exp10_transform(cost_mu_log), cost_test, cost_test);
   };
@@ -438,8 +409,7 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
   learned.reserve(n_train_max);
   state.c_learned.reserve(n_train_max);
   state.m_learned.reserve(n_train_max);
-  backend_cost->reserve_additional(budget);
-  backend_mem->reserve_additional(budget);
+  models.reserve_additional(budget);
 
   // Per-trajectory workspace arena plus the persistent candidate-feature
   // buffer (CandidateView needs a Matrix&, so it cannot live in the
@@ -452,30 +422,10 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
   if (round_size > 1) {
     for (std::vector<double>& v : frozen) v.reserve(active.size());
   }
-  linalg::Workspace ws;
-  {
-    // Pre-size one chunk at the worst-case pass footprint the two
-    // backends report — the first backend's outputs stay live while the
-    // second predicts, so the bound is max(out_1 + scratch_1,
-    // out_1 + out_2 + scratch_2). For two exact backends this is exactly
-    // the historical 4*m0 + z_peak bound, so no pass ever touches the
-    // heap and the arena's footprint is flat from the first pass (the
-    // check.sh gate).
-    const std::size_t m0 = active.size();
-    const std::size_t n0 = learned.size();
-    const gp::WorkspaceBound bound_cost =
-        backend_cost->workspace_bound(n0, m0, budget);
-    const gp::WorkspaceBound bound_mem =
-        backend_mem->workspace_bound(n0, m0, budget);
-    const std::size_t doubles =
-        std::max(bound_cost.outputs + bound_cost.scratch,
-                 bound_cost.outputs + bound_mem.outputs + bound_mem.scratch);
-    if (doubles != 0) {
-      ws.alloc(doubles);
-      ws.reset();
-      ws.restart_peak();  // arena.inuse_peak_bytes measures passes only
-    }
-  }
+  // One chunk at the pair's worst-case pass footprint, so no pass ever
+  // touches the heap and the arena's footprint is flat from the first
+  // pass (the check.sh gate).
+  linalg::Workspace ws(ModelPair::arena_doubles(active.size()));
   std::size_t arena_cap_prev = ws.capacity_doubles();
   std::size_t arena_steady_growth = 0;
   std::size_t arena_passes = 0;
@@ -485,17 +435,7 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
     TrajectoryCheckpoint s = state;
     s.learned.assign(learned.begin(), learned.end());
     s.active.assign(active.begin(), active.end());
-    s.theta_cost = backend_cost->log_params();
-    s.theta_mem = backend_mem->log_params();
-    s.backend_state_cost = backend_cost->save_state();
-    s.backend_state_mem = backend_mem->save_state();
-    s.rng = rng.save_state();
-    if (injector) {
-      const auto hits = injector->hit_counters();
-      const auto fires = injector->fire_counters();
-      std::copy(hits.begin(), hits.end(), s.fault_hits.begin());
-      std::copy(fires.begin(), fires.end(), s.fault_fires.begin());
-    }
+    s.models = models.save(rng, injector ? &*injector : nullptr);
     return s;
   };
   std::size_t new_passes = 0;  // passes executed by THIS process
@@ -541,12 +481,10 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
     // or the pass scope rewinds.
     linalg::gather_rows_into(x_scaled_, active, x_active_buf);
     const gp::CandidateRef pool{x_active_buf, active};
-    gp::PosteriorSpans post_cost;
-    gp::PosteriorSpans post_mem;
+    ModelPair::Posterior post;
     {
       const trace::ScopedTimer timer("predict");
-      post_cost = backend_cost->predict_candidates(pool, ws);
-      post_mem = backend_mem->predict_candidates(pool, ws);
+      post = models.predict_candidates(pool, ws);
     }
     const std::size_t round_first = state.iterations.size();
     const std::size_t first_pass = state.passes;
@@ -559,8 +497,8 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
       // pool features are regathered in the same order).
       const CandidateView view =
           state.iterations.size() == round_first
-              ? CandidateView{x_active_buf, post_cost.mean, post_cost.stddev,
-                              post_mem.mean, post_mem.stddev}
+              ? CandidateView{x_active_buf, post.cost.mean, post.cost.stddev,
+                              post.mem.mean, post.mem.stddev}
               : CandidateView{x_active_buf, frozen[0], frozen[1], frozen[2],
                               frozen[3]};
       trace::count("sim.iterations");
@@ -592,14 +530,8 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
         const bool injected_timeout = faults::fire(faults::Site::kAcquireTimeout);
         const bool injected_nan = faults::fire(faults::Site::kDataNanRow);
         if (injected_timeout) {
-          if (resilient_cost != nullptr) {
-            resilient_cost->record_external_event(
-                resilience::Event::kAcquireTimeout);
-          }
-          if (resilient_mem != nullptr) {
-            resilient_mem->record_external_event(
-                resilience::Event::kAcquireTimeout);
-          }
+          // The acquisition sweep consumed both posteriors.
+          models.record_external_event(resilience::Event::kAcquireTimeout);
         }
         if (injected_oom) {
           censor = CensorKind::kOom;
@@ -645,8 +577,7 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
         // The candidate left the pool: backends drop whatever per-candidate
         // state they cache (the exact backend's cross-matrix column and
         // prior-diagonal entry — pure data movement, remaining bits kept).
-        backend_cost->remove_candidate(local);
-        backend_mem->remove_candidate(local);
+        models.remove_candidate(local);
       }
 
       if (censor != CensorKind::kNone) {
@@ -716,16 +647,12 @@ TrajectoryResult AlSimulator::run_trajectory(const Strategy& strategy,
         for (std::size_t i = learned.size() - round_trained; i < learned.size();
              ++i) {
           if (round_trained > 1) {
-            const gp::GprOptions& fit =
-                i + 1 == learned.size() ? options_.refit : extend;
-            backend_cost->set_fit_options(fit);
-            backend_mem->set_fit_options(fit);
+            models.set_fit_options(i + 1 == learned.size() ? options_.refit
+                                                           : extend);
           }
           const std::size_t row = learned[i];
-          backend_cost->add_point(x_scaled_.row(row), state.c_learned[i], row,
-                                  rng, after_ptr);
-          backend_mem->add_point(x_scaled_.row(row), state.m_learned[i], row,
-                                 rng, after_ptr);
+          models.add_point(x_scaled_.row(row), state.c_learned[i],
+                           state.m_learned[i], row, rng, after_ptr);
         }
       }
 

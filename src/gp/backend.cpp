@@ -1,47 +1,18 @@
 #include "alamr/gp/backend.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "alamr/core/hex_bits.hpp"
 #include "alamr/core/trace.hpp"
 
 namespace alamr::gp {
 
 namespace {
-
-// ---- hex double round-trips for save_state -------------------------------
-// Same exact-bit convention the checkpoint format uses: doubles travel as
-// the hex image of their 64 bits, so restored centroids route every query
-// to the same expert the live run did.
-
-std::string hex_bits(double v) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-  return buffer;
-}
-
-double bits_from_hex(const std::string& text) {
-  if (text.size() != 18 || text[0] != '0' || text[1] != 'x') {
-    throw std::runtime_error("backend: bad double bit pattern '" + text + "'");
-  }
-  std::uint64_t bits = 0;
-  for (std::size_t i = 2; i < text.size(); ++i) {
-    const char c = text[i];
-    std::uint64_t digit = 0;
-    if (c >= '0' && c <= '9') digit = static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') digit = static_cast<std::uint64_t>(c - 'a' + 10);
-    else throw std::runtime_error("backend: bad hex digit in '" + text + "'");
-    bits = (bits << 4) | digit;
-  }
-  return std::bit_cast<double>(bits);
-}
 
 // ---------------------------------------------------------------------------
 // Backend zero: the exact GaussianProcessRegressor plus the AL loop's
@@ -242,21 +213,6 @@ class ExactGprBackend final : public PosteriorBackend {
     if (base_ != nullptr) rows_.reserve(n_train_max_);
   }
 
-  WorkspaceBound workspace_bound(std::size_t n0, std::size_t m0,
-                                 std::size_t budget) const override {
-    // Two output vectors for the pass, plus scratch for the physical-width
-    // gather staging of tombstoned sweeps (two vectors over at most the
-    // initial m0 columns) — maximized against the n x m variance scratch of
-    // the historical per-pass sweep, which keeps the arena sized (and its
-    // counters) exactly as before even though the panel now keeps Z in
-    // member storage.
-    std::size_t z_peak = 2 * m0;
-    for (std::size_t p = 0; p <= budget && p <= m0; ++p) {
-      z_peak = std::max(z_peak, (n0 + p) * (m0 - p));
-    }
-    return {.outputs = 2 * m0, .scratch = z_peak};
-  }
-
   std::unique_ptr<PosteriorBackend> clone() const override {
     return std::unique_ptr<PosteriorBackend>(new ExactGprBackend(*this));
   }
@@ -455,19 +411,6 @@ class SubsetOfDataBackend final : public PosteriorBackend {
     }
   }
 
-  WorkspaceBound workspace_bound(std::size_t n0, std::size_t m0,
-                                 std::size_t budget) const override {
-    // The mean/stddev spans are carved from the pass arena; the Z panel
-    // itself lives in member storage. The min(n, cap) x m term is the
-    // historical per-pass sweep scratch, kept so the arena is sized exactly
-    // as before.
-    std::size_t z_peak = 0;
-    for (std::size_t p = 0; p <= budget && p <= m0; ++p) {
-      z_peak = std::max(z_peak, std::min(n0 + p, cap_) * (m0 - p));
-    }
-    return {.outputs = 2 * m0, .scratch = z_peak};
-  }
-
   std::unique_ptr<PosteriorBackend> clone() const override {
     return std::unique_ptr<PosteriorBackend>(new SubsetOfDataBackend(*this));
   }
@@ -586,7 +529,14 @@ class LocalExpertsBackend final : public PosteriorBackend {
 
   void fit(const Matrix& x, std::span<const double> y, stats::Rng& rng,
            const DistanceBase* base, std::span<const std::size_t> rows) override {
-    if (centroids_.rows() == 0) compute_centroids(x);
+    if (centroids_.rows() == 0) {
+      compute_centroids(x);
+    } else if (centroids_.cols() != x.cols()) {
+      throw std::runtime_error(
+          "local_experts: restored centroids have dimension " +
+          std::to_string(centroids_.cols()) + ", the data " +
+          std::to_string(x.cols()));
+    }
     LocalGprEnsemble::FitSpec spec;
     spec.min_region_size = min_expert_size_;
     spec.base = base;
@@ -638,49 +588,49 @@ class LocalExpertsBackend final : public PosteriorBackend {
     // Centroids as exact bits: "centroids v1;<k>x<d>;hex,hex,...".
     std::ostringstream os;
     os << "centroids v1;" << centroids_.rows() << 'x' << centroids_.cols()
-       << ';';
-    for (std::size_t r = 0; r < centroids_.rows(); ++r) {
-      for (std::size_t c = 0; c < centroids_.cols(); ++c) {
-        if (r != 0 || c != 0) os << ',';
-        os << hex_bits(centroids_(r, c));
-      }
-    }
+       << ';' << core::hex_bits_list(centroids_.data());
     return os.str();
   }
 
   void restore_state(const std::string& state) override {
-    std::istringstream is(state);
-    std::string header;
-    std::string shape;
-    if (!std::getline(is, header, ';') || header != "centroids v1" ||
-        !std::getline(is, shape, ';')) {
+    // The state comes from a checkpoint on disk: every malformation is a
+    // std::runtime_error, and nothing is allocated until the cell count
+    // matches the shape. The dimension is checked against the data at the
+    // next fit.
+    constexpr std::string_view kHeader = "centroids v1;";
+    std::string_view rest(state);
+    if (rest.substr(0, kHeader.size()) != kHeader) {
       throw std::runtime_error("local_experts: malformed backend state");
     }
-    const std::size_t split = shape.find('x');
-    if (split == std::string::npos) {
+    rest.remove_prefix(kHeader.size());
+    const std::size_t semi = rest.find(';');
+    const std::size_t split = rest.substr(0, semi).find('x');
+    if (semi == std::string_view::npos || split == std::string_view::npos) {
       throw std::runtime_error("local_experts: malformed centroid shape");
     }
-    const std::size_t k = std::stoul(shape.substr(0, split));
-    const std::size_t d = std::stoul(shape.substr(split + 1));
-    Matrix restored(k, d);
-    std::string cell;
-    for (std::size_t r = 0; r < k; ++r) {
-      for (std::size_t c = 0; c < d; ++c) {
-        if (!std::getline(is, cell, ',')) {
-          throw std::runtime_error("local_experts: truncated centroid state");
-        }
-        restored(r, c) = bits_from_hex(cell);
-      }
+    const std::uint64_t k =
+        core::parse_decimal(rest.substr(0, split), "local_experts");
+    const std::uint64_t d = core::parse_decimal(
+        rest.substr(split + 1, semi - split - 1), "local_experts");
+    if ((k == 0) != (d == 0)) {
+      throw std::runtime_error("local_experts: degenerate centroid shape");
     }
-    centroids_ = std::move(restored);
+    if (d != 0 && k > std::numeric_limits<std::size_t>::max() / d) {
+      throw std::runtime_error("local_experts: centroid shape overflows");
+    }
+    const std::vector<double> cells =
+        core::bits_from_hex_list(rest.substr(semi + 1), "local_experts");
+    if (cells.size() != k * d) {
+      throw std::runtime_error(
+          "local_experts: centroid state holds " + std::to_string(cells.size()) +
+          " cells for a " + std::to_string(k) + "x" + std::to_string(d) +
+          " shape");
+    }
+    centroids_ = Matrix(k, d);
+    std::copy(cells.begin(), cells.end(), centroids_.data().begin());
   }
 
   void reserve_additional(std::size_t /*extra*/) override {}
-
-  WorkspaceBound workspace_bound(std::size_t /*n0*/, std::size_t /*m0*/,
-                                 std::size_t /*budget*/) const override {
-    return {};
-  }
 
   std::unique_ptr<PosteriorBackend> clone() const override {
     return std::unique_ptr<PosteriorBackend>(new LocalExpertsBackend(*this));
@@ -835,14 +785,6 @@ class PriorMeanBackend final : public PosteriorBackend {
 
   void reserve_additional(std::size_t extra) override {
     y_.reserve(y_.size() + extra);
-  }
-
-  WorkspaceBound workspace_bound(std::size_t n0, std::size_t m0,
-                                 std::size_t budget) const override {
-    (void)n0;
-    (void)m0;
-    (void)budget;
-    return {0, 0};
   }
 
   std::unique_ptr<PosteriorBackend> clone() const override {
@@ -1265,12 +1207,6 @@ void ResilientBackend::reserve_additional(std::size_t extra) {
   inner_->reserve_additional(extra);
 }
 
-WorkspaceBound ResilientBackend::workspace_bound(std::size_t n0,
-                                                 std::size_t m0,
-                                                 std::size_t budget) const {
-  return inner_->workspace_bound(n0, m0, budget);
-}
-
 std::string ResilientBackend::save_state() const {
   const std::string inner_state = inner_->save_state();
   if (rung_ == 0 && breaker_.total_failures() == 0 && breaker_.trips() == 0) {
@@ -1284,10 +1220,7 @@ std::string ResilientBackend::save_state() const {
      << breaker_.consecutive_failures() << ',' << breaker_.total_failures()
      << ',' << breaker_.ok_streak() << ',' << breaker_.trips() << ";thetas=";
   for (std::size_t r = 0; r < rung_; ++r) {
-    if (r != 0) os << '|';
-    for (std::size_t i = 0; i < rung_theta_[r].size(); ++i) {
-      os << (i == 0 ? "" : ",") << hex_bits(rung_theta_[r][i]);
-    }
+    os << (r == 0 ? "" : "|") << core::hex_bits_list(rung_theta_[r]);
   }
   os << ";inner=" << inner_state.size() << ':' << inner_state;
   return os.str();
@@ -1316,14 +1249,7 @@ void ResilientBackend::restore_state(const std::string& state) {
     return field;
   };
   const auto to_u64 = [](std::string_view text) {
-    std::uint64_t v = 0;
-    for (const char c : text) {
-      if (c < '0' || c > '9') {
-        throw std::runtime_error("resilient backend: bad number in state");
-      }
-      v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return v;
+    return core::parse_decimal(text, "resilient backend");
   };
   const std::uint64_t rung = to_u64(take("rung="));
   if (rung >= ladder_.size()) {
@@ -1350,29 +1276,13 @@ void ResilientBackend::restore_state(const std::string& state) {
   }
   const std::string_view thetas = take("thetas=");
   std::vector<std::vector<double>> parsed_thetas;
-  if (!thetas.empty()) {
-    std::size_t begin = 0;
-    for (;;) {
-      const std::size_t bar = thetas.find('|', begin);
-      const std::string_view one = thetas.substr(
-          begin, bar == std::string_view::npos ? std::string_view::npos
-                                               : bar - begin);
-      std::vector<double> values;
-      if (!one.empty()) {
-        std::size_t vb = 0;
-        for (;;) {
-          const std::size_t comma = one.find(',', vb);
-          values.push_back(bits_from_hex(std::string(one.substr(
-              vb, comma == std::string_view::npos ? std::string_view::npos
-                                                  : comma - vb))));
-          if (comma == std::string_view::npos) break;
-          vb = comma + 1;
-        }
-      }
-      parsed_thetas.push_back(std::move(values));
-      if (bar == std::string_view::npos) break;
-      begin = bar + 1;
-    }
+  // One comma list per abandoned rung, '|'-separated; "" is no rung.
+  for (std::string_view left = thetas; !thetas.empty();) {
+    const std::size_t bar = left.find('|');
+    parsed_thetas.push_back(
+        core::bits_from_hex_list(left.substr(0, bar), "resilient backend"));
+    if (bar == std::string_view::npos) break;
+    left.remove_prefix(bar + 1);
   }
   if (rest.substr(0, 6) != "inner=") {
     throw std::runtime_error("resilient backend: missing inner state");

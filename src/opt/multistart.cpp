@@ -40,8 +40,9 @@ OptimizeResult multistart_minimize(const PhasedObjective& f,
   // deterministic whatever the thread count. A fired start is poisoned to
   // a NaN objective value, as if its line search diverged; callers that
   // see a non-finite best value walk the recovery ladder in gpr.cpp.
+  const bool armed = core::faults::armed();
   std::vector<char> diverged;
-  if (core::faults::armed()) {
+  if (armed) {
     diverged.resize(starts.size(), 0);
     for (std::size_t r = 0; r < starts.size(); ++r) {
       diverged[r] = core::faults::fire(core::faults::Site::kOptDiverge) ? 1 : 0;
@@ -53,9 +54,13 @@ OptimizeResult multistart_minimize(const PhasedObjective& f,
 
   // The runs are independent; `f` may be called from several threads at
   // once (the GPR objective only reads the stored training data), and
-  // each run keeps its phase state to itself.
+  // each run keeps its phase state to itself. Under an armed injector the
+  // runs stay on the calling thread, in start order: the fault sites
+  // inside the objective (cholesky.non_psd) then consult this thread's
+  // injector for every start at the same hit numbers, whatever the lane
+  // count.
   std::vector<OptimizeResult> results(starts.size());
-  core::parallel_for(starts.size(), [&](std::size_t r) {
+  const auto run = [&](std::size_t r) {
     if (!diverged.empty() && diverged[r] != 0) {
       results[r].x = starts[r];
       results[r].value = std::numeric_limits<double>::quiet_NaN();
@@ -63,7 +68,12 @@ OptimizeResult multistart_minimize(const PhasedObjective& f,
       return;
     }
     results[r] = lbfgs_minimize(f, starts[r], options.lbfgs, bounds);
-  });
+  };
+  if (armed) {
+    for (std::size_t r = 0; r < starts.size(); ++r) run(r);
+  } else {
+    core::parallel_for(starts.size(), run);
+  }
 
   // Reduce in start order with a strict '<' so ties keep the earliest run
   // (the warm start in particular), matching the serial loop; evaluation

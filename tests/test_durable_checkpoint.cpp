@@ -205,16 +205,16 @@ TEST(DurableCheckpoint, OnlineCheckpointJsonRoundTrips) {
   s.skipped = {7};
   s.log_cost = {-1.5, 0.25, 3.0};
   s.log_mem = {0.5, 1.5, 2.5};
-  s.theta_cost = {0.1, -0.2, 0.3};
-  s.theta_mem = {1.0};
-  s.backend_state_cost = "resil v1;opaque \"quoted\" state";
-  s.rng = stats::Rng(77).save_state();
+  s.models.theta_cost = {0.1, -0.2, 0.3};
+  s.models.theta_mem = {1.0};
+  s.models.backend_state_cost = "resil v1;opaque \"quoted\" state";
+  s.models.rng = stats::Rng(77).save_state();
   s.cc = 12.5;
   s.cr = 0.75;
   s.oracle_giveups = 2;
   s.exhausted_safe_candidates = true;
-  s.fault_hits[0] = 11;
-  s.fault_fires[0] = 3;
+  s.models.fault_hits[0] = 11;
+  s.models.fault_fires[0] = 3;
   OnlineRecord rec;
   rec.grid_row = 9;
   rec.cost = 1.25;
@@ -234,16 +234,16 @@ TEST(DurableCheckpoint, OnlineCheckpointJsonRoundTrips) {
   EXPECT_EQ(r.skipped, s.skipped);
   EXPECT_EQ(r.log_cost, s.log_cost);
   EXPECT_EQ(r.log_mem, s.log_mem);
-  EXPECT_EQ(r.theta_cost, s.theta_cost);
-  EXPECT_EQ(r.backend_state_cost, s.backend_state_cost);
-  EXPECT_EQ(r.backend_state_mem, "");
-  EXPECT_EQ(r.rng.words, s.rng.words);
+  EXPECT_EQ(r.models.theta_cost, s.models.theta_cost);
+  EXPECT_EQ(r.models.backend_state_cost, s.models.backend_state_cost);
+  EXPECT_EQ(r.models.backend_state_mem, "");
+  EXPECT_EQ(r.models.rng.words, s.models.rng.words);
   EXPECT_EQ(r.cc, s.cc);
   EXPECT_EQ(r.cr, s.cr);
   EXPECT_EQ(r.oracle_giveups, 2u);
   EXPECT_TRUE(r.exhausted_safe_candidates);
-  EXPECT_EQ(r.fault_hits[0], 11u);
-  EXPECT_EQ(r.fault_fires[0], 3u);
+  EXPECT_EQ(r.models.fault_hits[0], 11u);
+  EXPECT_EQ(r.models.fault_fires[0], 3u);
   ASSERT_EQ(r.records.size(), 1u);
   EXPECT_EQ(r.records[0].grid_row, 9u);
   EXPECT_EQ(r.records[0].cost, 1.25);

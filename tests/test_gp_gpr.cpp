@@ -448,8 +448,8 @@ struct FitWork {
 
 // Fits a paper-kernel GPR to 40 noisy points of a smooth 2-D function,
 // with `threads` pool lanes, under a local trace collector and a fault
-// injector running `plan`. Both see only the calling thread's work: a
-// multistart start that runs on another lane counts in neither.
+// injector running `plan`. Both see only the calling thread's work; the
+// installed injector arms the fit, so every multistart start runs there.
 FitWork seeded_fit(std::size_t threads, const faults::FaultPlan& plan) {
   Rng rng(7);
   const std::size_t n = 40;
@@ -511,9 +511,9 @@ TEST(GprLmlPhases, WorkCountersRepeatAndFactorOncePerValue) {
 // expected counters and theta bits were computed by the eager LML
 // objective this two-phase one replaced, at the scalar SIMD level (where
 // the byte goldens are pinned): each trial still factors exactly once, so
-// every schedule consults the same hit numbers. At 4 lanes only the warm
-// start runs on the calling thread, hence the smaller counts and, under
-// the hit schedule, a different fault history and theta.
+// every schedule consults the same hit numbers. An armed fit runs its
+// starts serially on the calling thread, so 4 lanes consult the injector
+// exactly as 1 lane does: same counters, same theta.
 struct FaultPin {
   const char* plan;
   std::size_t threads;
@@ -531,10 +531,10 @@ TEST(GprLmlPhases, FaultSchedulesMatchEagerObjective) {
   const FaultPin pins[] = {
       {"seed=5;cholesky.non_psd:hits=2|9|23|40", 1, 150, 4,
        {0x3ff05786594623ceULL, 0xbfc385cccc56ecd2ULL, 0xc017f262dc64fbdaULL}},
-      {"seed=5;cholesky.non_psd:hits=2|9|23|40", 4, 30, 3,
-       {0x3ff05786985481aeULL, 0xbfc385cc67f41f38ULL, 0xc017f262db9709baULL}},
+      {"seed=5;cholesky.non_psd:hits=2|9|23|40", 4, 150, 4,
+       {0x3ff05786594623ceULL, 0xbfc385cccc56ecd2ULL, 0xc017f262dc64fbdaULL}},
       {"seed=5;cholesky.non_psd:p=0.08", 1, 159, 9, p_theta},
-      {"seed=5;cholesky.non_psd:p=0.08", 4, 34, 3, p_theta},
+      {"seed=5;cholesky.non_psd:p=0.08", 4, 159, 9, p_theta},
   };
   for (const FaultPin& pin : pins) {
     SCOPED_TRACE(std::string(pin.plan) + " threads " +
