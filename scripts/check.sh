@@ -64,9 +64,11 @@
 #                    resumed process to quarantine the torn frame and
 #                    reproduce the uninterrupted experiment log byte for
 #                    byte
-#  14. debug       — the golden and BackendParity suites built with
-#                    CMAKE_BUILD_TYPE=Debug (-O0): the byte goldens must
-#                    not depend on the optimizer level
+#  14. debug       — the golden, BackendParity and checkpoint-codec
+#                    (CheckpointBytes, CodecFuzz, DurableCheckpoint)
+#                    suites built with CMAKE_BUILD_TYPE=Debug (-O0): the
+#                    byte goldens and the checkpoint byte pins must not
+#                    depend on the optimizer level
 #  15. perfbench   — `perfbench/run.py --self-test`, then every workload
 #                    at seed 1 (its own 25 s, ALAMR_SIMD_LEVEL=scalar)
 #                    whose `# digest:` line must equal the recorded value:
@@ -215,15 +217,17 @@ run_golden plain4 build-check/plain 4
 run_golden native build-check/native 1
 run_golden native4 build-check/native 4
 
-# Golden-only Debug leg: the byte goldens and the backend parity suite
-# without optimization (-O0), so "the same bits whatever the build flags"
-# covers the optimizer level too. Only the two test binaries are built.
-echo "=== [debug] golden + BackendParity suites at -O0 ==="
+# Golden-only Debug leg: the byte goldens, the backend parity suite and
+# the checkpoint codec pins and fuzzers without optimization (-O0), so
+# "the same bits whatever the build flags" covers the optimizer level
+# too. Only the three test binaries are built.
+echo "=== [debug] golden + BackendParity + checkpoint codec suites at -O0 ==="
 cmake -B build-check/debug -S . -DCMAKE_BUILD_TYPE=Debug > /dev/null
-cmake --build build-check/debug -j "$jobs" --target tests_golden tests_backends \
-  > /dev/null
+cmake --build build-check/debug -j "$jobs" \
+  --target tests_golden tests_backends tests_resilience > /dev/null
 ctest --test-dir build-check/debug --output-on-failure \
-  -R 'GoldenTrajectory|BackendParity' > /tmp/check_debug.log 2>&1 || {
+  -R 'GoldenTrajectory|BackendParity|CheckpointBytes|CodecFuzz|DurableCheckpoint' \
+  > /tmp/check_debug.log 2>&1 || {
   tail -50 /tmp/check_debug.log
   echo "FAILED: debug (full log: /tmp/check_debug.log)"
   exit 1

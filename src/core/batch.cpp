@@ -10,53 +10,66 @@
 
 namespace alamr::core {
 
-std::vector<TrajectoryResult> run_batch(const AlSimulator& simulator,
-                                        const Strategy& strategy,
-                                        const BatchOptions& options) {
-  if (options.trajectories == 0) {
-    throw std::invalid_argument("run_batch: trajectories == 0");
-  }
+namespace {
 
-  // Derive one independent RNG per trajectory up front (deterministic
-  // regardless of thread interleaving).
+/// The fan-out both batch entry points share: one rng stream per
+/// trajectory, split from `options.seed` up front (deterministic whatever
+/// the thread interleaving, and slot t is the same trajectory in either
+/// entry point); at most one lane per trajectory; one immutable
+/// dataset-wide context (the pairwise-distance base) that every
+/// trajectory reads, so per-trajectory distance-cache (re)builds become
+/// gathers. Each pool chunk owns a Strategy clone (implementations are
+/// stateless, but cloning keeps the contract simple if one ever is not)
+/// and writes only its own slots, `run(strategy, stream, shared, t)`; the
+/// nested parallelism inside each trajectory (predict, multistart)
+/// degrades to serial while a chunk runs, so lanes are never
+/// oversubscribed.
+template <typename Slot, typename Run>
+std::vector<Slot> fan_out(const AlSimulator& simulator,
+                          const Strategy& strategy,
+                          const BatchOptions& options, const char* counter,
+                          Run&& run) {
   stats::Rng master(options.seed);
   std::vector<stats::Rng> streams;
   streams.reserve(options.trajectories);
   for (std::size_t t = 0; t < options.trajectories; ++t) {
     streams.push_back(master.split());
   }
-
   const std::size_t n_threads =
       std::min(options.threads == 0 ? configured_parallel_threads()
                                     : options.threads,
                options.trajectories);
-
-  // One immutable dataset-wide context (the pairwise-distance base) serves
-  // every trajectory — they all run against the same scaled features, so
-  // per-trajectory distance-cache (re)builds become gathers. The workers
-  // only read it.
   const SharedBatchContext shared = simulator.make_shared_context();
 
-  // Trajectory fan-out on the pool. Each chunk owns a Strategy clone
-  // (implementations are stateless, but cloning keeps the contract simple
-  // if one ever is not) and writes only its own result slots; the nested
-  // parallelism inside each trajectory (predict, multistart) degrades to
-  // serial while a chunk runs, so lanes are never oversubscribed.
-  std::vector<TrajectoryResult> results(options.trajectories);
-  trace::count("batch.runs");
+  std::vector<Slot> slots(options.trajectories);
+  trace::count(counter);
   trace::count("batch.trajectories", options.trajectories);
-  {
-    const trace::ScopedTimer timer("batch");
-    ThreadPool pool(n_threads);
-    pool.parallel_for_chunks(
-        options.trajectories, [&](std::size_t begin, std::size_t end) {
-          const std::unique_ptr<Strategy> local = strategy.clone();
-          for (std::size_t t = begin; t < end; ++t) {
-            results[t] = simulator.run(*local, streams[t], &shared);
-          }
-        });
+  const trace::ScopedTimer timer("batch");
+  ThreadPool pool(n_threads);
+  pool.parallel_for_chunks(
+      options.trajectories, [&](std::size_t begin, std::size_t end) {
+        const std::unique_ptr<Strategy> local = strategy.clone();
+        for (std::size_t t = begin; t < end; ++t) {
+          slots[t] = run(*local, streams[t], shared, t);
+        }
+      });
+  return slots;
+}
+
+}  // namespace
+
+std::vector<TrajectoryResult> run_batch(const AlSimulator& simulator,
+                                        const Strategy& strategy,
+                                        const BatchOptions& options) {
+  if (options.trajectories == 0) {
+    throw std::invalid_argument("run_batch: trajectories == 0");
   }
-  return results;
+  return fan_out<TrajectoryResult>(
+      simulator, strategy, options, "batch.runs",
+      [&](const Strategy& local, stats::Rng& stream,
+          const SharedBatchContext& shared, std::size_t) {
+        return simulator.run(local, stream, &shared);
+      });
 }
 
 std::vector<BatchTrajectory> run_batch_isolated(const AlSimulator& simulator,
@@ -65,68 +78,42 @@ std::vector<BatchTrajectory> run_batch_isolated(const AlSimulator& simulator,
   if (options.trajectories == 0) {
     throw std::invalid_argument("run_batch_isolated: trajectories == 0");
   }
-
-  // Same stream derivation as run_batch, so slot t of an isolated batch is
-  // the same trajectory as slot t of a plain one.
-  stats::Rng master(options.seed);
-  std::vector<stats::Rng> streams;
-  streams.reserve(options.trajectories);
-  for (std::size_t t = 0; t < options.trajectories; ++t) {
-    streams.push_back(master.split());
-  }
-
   const bool checkpointing = !options.checkpoint_dir.empty();
   if (checkpointing) {
     std::filesystem::create_directories(options.checkpoint_dir);
   }
-
-  const std::size_t n_threads =
-      std::min(options.threads == 0 ? configured_parallel_threads()
-                                    : options.threads,
-               options.trajectories);
-
-  const SharedBatchContext shared = simulator.make_shared_context();
-
-  std::vector<BatchTrajectory> slots(options.trajectories);
-  trace::count("batch.isolated_runs");
-  trace::count("batch.trajectories", options.trajectories);
-  {
-    const trace::ScopedTimer timer("batch");
-    ThreadPool pool(n_threads);
-    pool.parallel_for_chunks(
-        options.trajectories, [&](std::size_t begin, std::size_t end) {
-          const std::unique_ptr<Strategy> local = strategy.clone();
-          for (std::size_t t = begin; t < end; ++t) {
-            try {
-              // Partition drawn from the stream exactly as run() would —
-              // byte-identical whether or not the trajectory later resumes,
-              // because the stream state is redrawn from the same split and
-              // the checkpoint replaces the rng state afterwards.
-              const data::Partition partition = data::make_partition(
-                  simulator.dataset().size(), simulator.options().n_test,
-                  simulator.options().n_init, streams[t]);
-              if (checkpointing) {
-                CheckpointConfig cfg;
-                cfg.path = options.checkpoint_dir /
-                           ("trajectory_" + std::to_string(t) + ".json");
-                cfg.stride = options.checkpoint_stride;
-                cfg.resume = options.resume;
-                slots[t].result = simulator.run_resumable(
-                    *local, partition, streams[t], cfg, &shared);
-              } else {
-                slots[t].result = simulator.run_with_partition(
-                    *local, partition, streams[t], &shared);
-              }
-              slots[t].ok = true;
-            } catch (const std::exception& e) {
-              slots[t].ok = false;
-              slots[t].error = e.what();
-              trace::count("batch.failed_trajectories");
-            }
+  return fan_out<BatchTrajectory>(
+      simulator, strategy, options, "batch.isolated_runs",
+      [&](const Strategy& local, stats::Rng& stream,
+          const SharedBatchContext& shared, std::size_t t) {
+        BatchTrajectory slot;
+        try {
+          // Partition drawn from the stream exactly as run() would —
+          // byte-identical whether or not the trajectory later resumes,
+          // because the stream state is redrawn from the same split and
+          // the checkpoint replaces the rng state afterwards.
+          const data::Partition partition = data::make_partition(
+              simulator.dataset().size(), simulator.options().n_test,
+              simulator.options().n_init, stream);
+          if (checkpointing) {
+            CheckpointConfig cfg;
+            cfg.path = options.checkpoint_dir /
+                       ("trajectory_" + std::to_string(t) + ".json");
+            cfg.stride = options.checkpoint_stride;
+            cfg.resume = options.resume;
+            slot.result = simulator.run_resumable(local, partition, stream,
+                                                  cfg, &shared);
+          } else {
+            slot.result =
+                simulator.run_with_partition(local, partition, stream, &shared);
           }
-        });
-  }
-  return slots;
+          slot.ok = true;
+        } catch (const std::exception& e) {
+          slot.error = e.what();
+          trace::count("batch.failed_trajectories");
+        }
+        return slot;
+      });
 }
 
 std::vector<double> extract_series(const TrajectoryResult& trajectory,

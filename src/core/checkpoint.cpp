@@ -1,12 +1,16 @@
 #include "alamr/core/checkpoint.hpp"
 
 #include <array>
+#include <bit>
 #include <cctype>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <type_traits>
 
 #include "alamr/core/hex_bits.hpp"
 #include "alamr/core/trace.hpp"
@@ -15,91 +19,307 @@ namespace alamr::core {
 
 namespace {
 
-// ---- JSON writing --------------------------------------------------------
-// Doubles are stored as the hex image of their 64 bits ("0x3ff0...", see
-// hex_bits.hpp).
+constexpr std::uint64_t kVersion = 1;
+/// Payload schema version for OnlineCheckpoint (independent of the
+/// trajectory payload's version and of the frame format version).
+constexpr std::uint64_t kOnlineVersion = 1;
 
-void write_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default: os << c; break;
+// ---- The field lists -------------------------------------------------------
+// Each payload is described once: a `fields(v, s)` per struct visits its
+// (key, member) pairs in byte order, and the Writer and the Reader below
+// are its two visitors, so the bytes written and the order the reader
+// expects come from one list. Keys both payloads carry are listed once,
+// in the shared pieces (payload head, model pair, totals, predictions).
+
+template <typename T, typename U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+template <typename V, Is<stats::Rng::State> S>
+void fields(V& v, S& s) {
+  v("words", s.words);
+  v("cached_normal", s.cached_normal);
+  v("has_cached_normal", s.has_cached_normal);
+}
+
+/// The chosen candidate's predicted log10 cost and memory; trajectory
+/// records carry each one's sigma too.
+template <typename V, typename R>
+void predictions(V& v, R& r) {
+  v("predicted_cost_log10", r.predicted_cost_log10);
+  if constexpr (requires { r.predicted_cost_sigma; }) {
+    v("predicted_cost_sigma", r.predicted_cost_sigma);
+  }
+  v("predicted_mem_log10", r.predicted_mem_log10);
+  if constexpr (requires { r.predicted_mem_sigma; }) {
+    v("predicted_mem_sigma", r.predicted_mem_sigma);
+  }
+}
+
+/// CC and CR (Eq. 11) after one record.
+template <typename V, typename R>
+void record_totals(V& v, R& r) {
+  v("cumulative_cost", r.cumulative_cost);
+  v("cumulative_regret", r.cumulative_regret);
+}
+
+template <typename V, Is<IterationRecord> R>
+void fields(V& v, R& r) {
+  v("iteration", r.iteration);
+  v("dataset_row", r.dataset_row);
+  v("actual_cost", r.actual_cost);
+  v("actual_memory", r.actual_memory);
+  predictions(v, r);
+  v("rmse_cost", r.rmse_cost);
+  v("rmse_mem", r.rmse_mem);
+  v("rmse_cost_weighted", r.rmse_cost_weighted);
+  record_totals(v, r);
+  v("candidates_before", r.candidates_before);
+  v("censor", r.censor);
+}
+
+template <typename V, Is<OnlineRecord> R>
+void fields(V& v, R& r) {
+  v("grid_row", r.grid_row);
+  v("cost", r.cost);
+  v("memory", r.memory);
+  predictions(v, r);
+  record_totals(v, r);
+  v("initial_phase", r.initial_phase);
+}
+
+/// The head of the model pair's block, which both payloads carry after
+/// their labels (θ, backend states, rng), then the run's CC and CR. The
+/// payload's own scalars follow, then model_pair_tail.
+template <typename V, typename S>
+void model_pair_head(V& v, S& s) {
+  v("theta_cost", s.models.theta_cost);
+  v("theta_mem", s.models.theta_mem);
+  // Files written before backend states existed lack these two keys.
+  v.optional("backend_state_cost", s.models.backend_state_cost);
+  v.optional("backend_state_mem", s.models.backend_state_mem);
+  v("rng", s.models.rng);
+  v("cc", s.cc);
+  v("cr", s.cr);
+}
+
+template <typename V, typename S>
+void model_pair_tail(V& v, S& s) {
+  v("fault_hits", s.models.fault_hits);
+  v("fault_fires", s.models.fault_fires);
+}
+
+template <typename V, Is<TrajectoryCheckpoint> S>
+void fields(V& v, S& s) {
+  v("passes", s.passes);
+  v("trained", s.trained);
+  v("learned", s.learned);
+  v("active", s.active);
+  v("c_learned", s.c_learned);
+  v("m_learned", s.m_learned);
+  model_pair_head(v, s);
+  v("last_rmse_cost", s.last_rmse_cost);
+  v("last_rmse_mem", s.last_rmse_mem);
+  v("last_rmse_weighted", s.last_rmse_weighted);
+  v("last_record_evaluated", s.last_record_evaluated);
+  v("initial_rmse_cost", s.initial_rmse_cost);
+  v("initial_rmse_mem", s.initial_rmse_mem);
+  v("stable_streak", s.stable_streak);
+  v("previous_cost_mu_log", s.previous_cost_mu_log);
+  v("censored_count", s.censored_count);
+  v("censored_cost", s.censored_cost);
+  model_pair_tail(v, s);
+  v("iterations", s.iterations);
+}
+
+template <typename V, Is<OnlineCheckpoint> S>
+void fields(V& v, S& s) {
+  v("al_iterations_done", s.al_iterations_done);
+  v("visited", s.visited);
+  v("skipped", s.skipped);
+  v("log_cost", s.log_cost);
+  v("log_mem", s.log_mem);
+  model_pair_head(v, s);
+  v("oracle_giveups", s.oracle_giveups);
+  v("exhausted_safe_candidates", s.exhausted_safe_candidates);
+  model_pair_tail(v, s);
+  v("records", s.records);
+}
+
+/// A payload opens with its schema version; the online one then tags its
+/// kind, so neither reader takes the other's payload. The fingerprint
+/// follows, then the payload's own fields.
+template <typename V, typename S>
+void payload(V& v, S& s) {
+  constexpr bool kOnline = Is<S, OnlineCheckpoint>;
+  v.version("version", kOnline ? kOnlineVersion : kVersion);
+  if constexpr (kOnline) v.tag("kind", "online");
+  v("fingerprint", s.fingerprint);
+  fields(v, s);
+}
+
+/// A struct with a field list: written and read as a JSON object.
+template <typename S, typename V>
+concept Record = requires(V& v, S& s) { fields(v, s); };
+
+template <typename U>
+concept Counter = std::unsigned_integral<U> && !std::same_as<U, bool>;
+
+// ---- The writer ------------------------------------------------------------
+
+class Writer {
+ public:
+  template <typename S>
+  static std::string encode(const S& s) {
+    Writer w;
+    w.out_.reserve(1024);
+    w.out_ += '{';
+    payload(w, s);
+    w.out_ += '}';
+    return std::move(w.out_);
+  }
+
+  template <typename T>
+  void operator()(std::string_view key, const T& value) {
+    if (!first_) out_ += ',';
+    first_ = false;
+    out_ += '"';
+    out_ += key;
+    out_ += "\":";
+    put(value);
+  }
+  template <typename T>
+  void optional(std::string_view key, const T& value) {
+    (*this)(key, value);
+  }
+  void version(std::string_view key, std::uint64_t version) {
+    (*this)(key, version);
+  }
+  void tag(std::string_view key, std::string_view kind) { (*this)(key, kind); }
+
+ private:
+  template <Counter U>
+  void put(U v) {
+    char buffer[24];
+    out_.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer),
+                                      static_cast<std::uint64_t>(v)).ptr);
+  }
+  void put(CensorKind kind) { put(static_cast<std::uint64_t>(kind)); }
+  void put(bool v) { out_ += v ? "true" : "false"; }
+  /// The hex_bits image, quoted.
+  void put(double v) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    out_ += "\"0x";
+    for (int shift = 60; shift >= 0; shift -= 4) {
+      out_ += kDigits[(bits >> shift) & 0xfu];
     }
+    out_ += '"';
   }
-  os << '"';
-}
-
-template <typename T>
-void write_u64_array(std::ostringstream& os, const char* key,
-                     const T& values) {
-  os << '"' << key << "\":[";
-  bool first = true;
-  for (const auto v : values) {
-    os << (first ? "" : ",") << static_cast<std::uint64_t>(v);
-    first = false;
-  }
-  os << ']';
-}
-
-void write_double_array(std::ostringstream& os, const char* key,
-                        const std::vector<double>& values) {
-  os << '"' << key << "\":[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    os << (i == 0 ? "" : ",") << '"' << hex_bits(values[i]) << '"';
-  }
-  os << ']';
-}
-
-// ---- JSON parsing --------------------------------------------------------
-// A minimal recursive-descent parser for the subset this file emits:
-// objects, arrays, strings, unsigned integers, true/false. Good enough to
-// reject truncated or hand-mangled files with a clear error.
-
-struct JsonValue {
-  enum class Type { kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNumber;
-  bool boolean = false;
-  std::uint64_t number = 0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue& at(const std::string& key) const {
-    if (const JsonValue* v = find(key)) return *v;
-    throw std::runtime_error("checkpoint: missing key '" + key + "'");
-  }
-
-  /// Lookup for keys added after version 1 shipped: nullptr when absent,
-  /// so pre-existing checkpoint files still parse (and are then accepted
-  /// or rejected by the fingerprint gate, not a parse error).
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
+  void put(std::string_view s) {
+    out_ += '"';
+    for (const char c : s) {
+      switch (c) {
+        case '"': out_ += "\\\""; break;
+        case '\\': out_ += "\\\\"; break;
+        case '\n': out_ += "\\n"; break;
+        case '\t': out_ += "\\t"; break;
+        case '\r': out_ += "\\r"; break;
+        default: out_ += c; break;
+      }
     }
-    return nullptr;
+    out_ += '"';
   }
+  template <typename T>
+  void put(const std::vector<T>& values) {
+    list(values);
+  }
+  template <std::size_t N>
+  void put(const std::array<std::uint64_t, N>& values) {
+    list(values);
+  }
+  template <Record<Writer> S>
+  void put(const S& s) {
+    out_ += '{';
+    first_ = true;
+    fields(*this, s);
+    out_ += '}';
+    first_ = false;
+  }
+
+  template <typename L>
+  void list(const L& values) {
+    out_ += '[';
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (i != 0) out_ += ',';
+      put(values[i]);
+    }
+    out_ += ']';
+  }
+
+  std::string out_;
+  bool first_ = true;  // the next key opens its object
 };
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+static_assert(faults::kSiteCount != 4,
+              "the rng words and the fault counters need distinct types");
 
-  JsonValue parse() {
-    JsonValue v = parse_value();
+// ---- The reader ------------------------------------------------------------
+// Walks the same field lists over the text in one pass, expecting each key
+// where the writer puts it (optional keys may be absent). Every value is
+// type-checked, and every malformation is a std::runtime_error prefixed
+// with `who` ("checkpoint", "online checkpoint").
+
+class Reader {
+ public:
+  Reader(std::string_view text, std::string who)
+      : text_(text), who_(std::move(who)) {}
+
+  template <typename S>
+  S decode() {
+    S s;
+    object([&] { payload(*this, s); });
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters");
-    return v;
+    return s;
+  }
+
+  template <typename T>
+  void operator()(std::string_view key, T& value) {
+    if (!take_key(key)) error("missing key '" + std::string(key) + "'");
+    get(value);
+  }
+  template <typename T>
+  void optional(std::string_view key, T& value) {
+    if (take_key(key)) get(value);
+  }
+  void version(std::string_view key, std::uint64_t max) {
+    std::uint64_t version = 0;
+    (*this)(key, version);
+    if (version > max) {
+      // Written by a newer build: refuse loudly and leave the file alone
+      // (treating this as corruption would quarantine state the newer
+      // build could still resume from).
+      throw CheckpointVersionError(
+          who_ + ": payload version " + std::to_string(version) +
+          " is newer than this build understands (max " +
+          std::to_string(max) + "); keeping the file");
+    }
+    if (version != max) {
+      error("unsupported version " + std::to_string(version));
+    }
+  }
+  void tag(std::string_view key, std::string_view kind) {
+    if (!take_key(key) || peek() != '"' || string() != kind) {
+      error("payload is not an " + std::string(kind) + "-run checkpoint");
+    }
   }
 
  private:
+  [[noreturn]] void error(const std::string& what) const {
+    throw std::runtime_error(who_ + ": " + what);
+  }
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("checkpoint: JSON parse error at offset " +
-                             std::to_string(pos_) + ": " + what);
+    error("JSON parse error at offset " + std::to_string(pos_) + ": " + what);
   }
 
   void skip_ws() {
@@ -108,66 +328,79 @@ class JsonParser {
       ++pos_;
     }
   }
-
   char peek() {
     skip_ws();
     if (pos_ >= text_.size()) fail("unexpected end of input");
     return text_[pos_];
   }
-
   void expect(char c) {
     if (peek() != c) fail(std::string("expected '") + c + "'");
     ++pos_;
   }
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
-  JsonValue parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        JsonValue v;
-        v.type = JsonValue::Type::kString;
-        v.str = parse_string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        JsonValue v;
-        v.type = JsonValue::Type::kBool;
-        if (text_.compare(pos_, 4, "true") == 0) {
-          v.boolean = true;
-          pos_ += 4;
-        } else if (text_.compare(pos_, 5, "false") == 0) {
-          v.boolean = false;
-          pos_ += 5;
-        } else {
-          fail("bad literal");
-        }
-        return v;
-      }
-      default: {
-        JsonValue v;
-        v.type = JsonValue::Type::kNumber;
-        if (!std::isdigit(static_cast<unsigned char>(peek()))) fail("bad value");
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-          v.number = v.number * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
-          ++pos_;
-        }
-        return v;
-      }
+  /// Consumes `"key":`, preceded by ',' unless it opens its object, and
+  /// returns true; leaves the input untouched and returns false when
+  /// the next key is another one (or there is none).
+  bool take_key(std::string_view key) {
+    const std::size_t at = pos_;
+    if (!first_) {
+      if (peek() != ',') return false;
+      ++pos_;
     }
+    skip_ws();
+    const std::string_view rest = text_.substr(pos_);
+    if (rest.size() < key.size() + 2 || rest[0] != '"' ||
+        rest.substr(1, key.size()) != key || rest[key.size() + 1] != '"') {
+      pos_ = at;
+      return false;
+    }
+    pos_ += key.size() + 2;
+    expect(':');
+    first_ = false;
+    return true;
   }
 
-  std::string parse_string() {
-    expect('"');
+  template <typename F>
+  void object(F&& body) {
+    expect('{');
+    first_ = true;
+    body();
+    expect('}');
+    first_ = false;
+  }
+  /// `[e, ...]`, calling `element` to read each e.
+  template <typename F>
+  void list(F&& element) {
+    if (peek() != '[') fail("expected an array");
+    ++pos_;
+    if (peek() == ']') {
+      ++pos_;
+      return;
+    }
+    for (;;) {
+      element();
+      if (peek() != ',') break;
+      ++pos_;
+    }
+    expect(']');
+  }
+
+  std::uint64_t number() {
+    if (!is_digit(peek())) fail("expected an unsigned integer");
+    const std::size_t begin = pos_;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+    return parse_decimal(text_.substr(begin, pos_ - begin), who_);
+  }
+  std::string string() {
+    if (peek() != '"') fail("expected a string");
+    ++pos_;
     std::string out;
     while (pos_ < text_.size() && text_[pos_] != '"') {
       char c = text_[pos_++];
       if (c == '\\') {
         if (pos_ >= text_.size()) fail("bad escape");
-        const char e = text_[pos_++];
-        switch (e) {
+        switch (text_[pos_++]) {
           case '"': c = '"'; break;
           case '\\': c = '\\'; break;
           case 'n': c = '\n'; break;
@@ -182,270 +415,106 @@ class JsonParser {
     ++pos_;  // closing quote
     return out;
   }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string key = parse_string();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
+  double f64() {
+    if (peek() != '"') fail("double must be a hex-bits string");
+    const std::size_t close = text_.find('"', pos_ + 1);
+    if (close == std::string_view::npos) fail("unterminated string");
+    const std::string_view bits = text_.substr(pos_ + 1, close - pos_ - 1);
+    pos_ = close + 1;
+    return bits_from_hex(bits, who_);
+  }
+  /// Reads a u64 list into `out`, failing with `too_many` past N values;
+  /// returns the count.
+  template <std::size_t N>
+  std::size_t words(std::array<std::uint64_t, N>& out,
+                    const std::string& too_many) {
+    std::size_t n = 0;
+    list([&] {
+      const std::uint64_t v = number();
+      if (n == N) error(too_many);
+      out[n++] = v;
+    });
+    return n;
   }
 
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
+  template <Counter U>
+  void get(U& v) {
+    v = number();
+  }
+  void get(CensorKind& kind) {
+    const std::uint64_t v = number();
+    if (v > static_cast<std::uint64_t>(CensorKind::kNanRow)) {
+      error("bad censor kind");
     }
-    while (true) {
-      v.array.push_back(parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
+    kind = static_cast<CensorKind>(v);
+  }
+  void get(bool& v) {
+    skip_ws();
+    const std::string_view rest = text_.substr(pos_);
+    v = rest.starts_with("true");
+    if (!v && !rest.starts_with("false")) fail("expected true or false");
+    pos_ += v ? 4 : 5;
+  }
+  void get(double& v) { v = f64(); }
+  void get(std::string& s) { s = string(); }
+  void get(std::vector<std::uint64_t>& out) {
+    list([&] { out.push_back(number()); });
+  }
+  void get(std::vector<double>& out) {
+    list([&] { out.push_back(f64()); });
+  }
+  template <Record<Reader> S>
+  void get(std::vector<S>& out) {
+    list([&] { get(out.emplace_back()); });
+  }
+  template <Record<Reader> S>
+  void get(S& s) {
+    object([&] { fields(*this, s); });
+  }
+  void get(std::array<std::uint64_t, 4>& rng_words) {
+    const std::string arity = "rng state must have 4 words";
+    if (words(rng_words, arity) != rng_words.size()) error(arity);
+  }
+  /// Fewer counters than this build knows is a file written before new
+  /// sites were appended — the missing tail starts at zero
+  /// consultations, which is exactly right. More counters means an
+  /// unknown newer site roster: refuse rather than silently drop state.
+  /// Hits and fires must have one length.
+  void get(std::array<std::uint64_t, faults::kSiteCount>& counters) {
+    const std::string arity = "fault counter arity mismatch";
+    const std::size_t n = words(counters, arity);
+    if (counter_length_.has_value() && *counter_length_ != n) error(arity);
+    counter_length_ = n;
   }
 
-  const std::string& text_;
+  std::string_view text_;
+  std::string who_;
   std::size_t pos_ = 0;
+  bool first_ = true;  // the next key opens its object
+  std::optional<std::size_t> counter_length_;
 };
-
-double read_double(const JsonValue& v) {
-  if (v.type != JsonValue::Type::kString) {
-    throw std::runtime_error("checkpoint: double must be a hex-bits string");
-  }
-  return bits_from_hex(v.str, "checkpoint");
-}
-
-std::vector<double> read_double_array(const JsonValue& v) {
-  std::vector<double> out;
-  out.reserve(v.array.size());
-  for (const JsonValue& e : v.array) out.push_back(read_double(e));
-  return out;
-}
-
-std::vector<std::uint64_t> read_u64_array(const JsonValue& v) {
-  std::vector<std::uint64_t> out;
-  out.reserve(v.array.size());
-  for (const JsonValue& e : v.array) {
-    if (e.type != JsonValue::Type::kNumber) {
-      throw std::runtime_error("checkpoint: expected unsigned integer");
-    }
-    out.push_back(e.number);
-  }
-  return out;
-}
-
-// ---- The model pair's block ---------------------------------------------
-// Both payloads carry a ModelPairState under the same keys, in their
-// historical order: theta, backend states and rng after the labels, the
-// fault counters after the payload's own scalars, which the writer takes
-// as a callback. Files already on disk keep their bytes.
-
-template <typename Between>
-void write_model_pair(std::ostringstream& os, const ModelPairState& s,
-                      Between&& between) {
-  write_double_array(os, "theta_cost", s.theta_cost);
-  os << ',';
-  write_double_array(os, "theta_mem", s.theta_mem);
-  os << ",\"backend_state_cost\":";
-  write_escaped(os, s.backend_state_cost);
-  os << ",\"backend_state_mem\":";
-  write_escaped(os, s.backend_state_mem);
-  os << ",\"rng\":{";
-  write_u64_array(os, "words", s.rng.words);
-  os << ",\"cached_normal\":\"" << hex_bits(s.rng.cached_normal) << '"'
-     << ",\"has_cached_normal\":"
-     << (s.rng.has_cached_normal ? "true" : "false") << '}';
-  between();
-  os << ',';
-  write_u64_array(os, "fault_hits", s.fault_hits);
-  os << ',';
-  write_u64_array(os, "fault_fires", s.fault_fires);
-}
-
-/// `who` prefixes the error messages ("checkpoint", "online checkpoint").
-/// The backend states are optional: files written before they existed
-/// still parse.
-ModelPairState read_model_pair(const JsonValue& root, const std::string& who) {
-  ModelPairState s;
-  s.theta_cost = read_double_array(root.at("theta_cost"));
-  s.theta_mem = read_double_array(root.at("theta_mem"));
-  if (const JsonValue* v = root.find("backend_state_cost")) {
-    s.backend_state_cost = v->str;
-  }
-  if (const JsonValue* v = root.find("backend_state_mem")) {
-    s.backend_state_mem = v->str;
-  }
-  const JsonValue& rng = root.at("rng");
-  const std::vector<std::uint64_t> words = read_u64_array(rng.at("words"));
-  if (words.size() != s.rng.words.size()) {
-    throw std::runtime_error(who + ": rng state must have 4 words");
-  }
-  std::copy(words.begin(), words.end(), s.rng.words.begin());
-  s.rng.cached_normal = read_double(rng.at("cached_normal"));
-  s.rng.has_cached_normal = rng.at("has_cached_normal").boolean;
-  const std::vector<std::uint64_t> hits = read_u64_array(root.at("fault_hits"));
-  const std::vector<std::uint64_t> fires =
-      read_u64_array(root.at("fault_fires"));
-  // Fewer counters than this build knows is a file written before new
-  // sites were appended — the missing tail starts at zero consultations,
-  // which is exactly right. More counters means an unknown newer site
-  // roster: refuse rather than silently drop state.
-  if (hits.size() > faults::kSiteCount || fires.size() > faults::kSiteCount ||
-      hits.size() != fires.size()) {
-    throw std::runtime_error(who + ": fault counter arity mismatch");
-  }
-  std::copy(hits.begin(), hits.end(), s.fault_hits.begin());
-  std::copy(fires.begin(), fires.end(), s.fault_fires.begin());
-  return s;
-}
-
-/// Parses `json` and gates its payload version against `max`.
-JsonValue parse_payload(const std::string& json, std::uint64_t max,
-                        const std::string& who) {
-  JsonValue root = JsonParser(json).parse();
-  const std::uint64_t version = root.at("version").number;
-  if (version > max) {
-    // Written by a newer build: refuse loudly and leave the file alone
-    // (treating this as corruption would quarantine state the newer
-    // build could still resume from).
-    throw CheckpointVersionError(
-        who + ": payload version " + std::to_string(version) +
-        " is newer than this build understands (max " + std::to_string(max) +
-        "); keeping the file");
-  }
-  if (version != max) {
-    throw std::runtime_error(who + ": unsupported version " +
-                             std::to_string(version));
-  }
-  return root;
-}
-
-constexpr std::uint64_t kVersion = 1;
-/// Payload schema version for OnlineCheckpoint (independent of the
-/// trajectory payload's version and of the frame format version).
-constexpr std::uint64_t kOnlineVersion = 1;
 
 }  // namespace
 
-std::string checkpoint_to_json(const TrajectoryCheckpoint& s) {
-  std::ostringstream os;
-  os << "{\"version\":" << kVersion << ",";
-  os << "\"fingerprint\":";
-  write_escaped(os, s.fingerprint);
-  os << ",\"passes\":" << s.passes << ",\"trained\":" << s.trained << ',';
-  write_u64_array(os, "learned", s.learned);
-  os << ',';
-  write_u64_array(os, "active", s.active);
-  os << ',';
-  write_double_array(os, "c_learned", s.c_learned);
-  os << ',';
-  write_double_array(os, "m_learned", s.m_learned);
-  os << ',';
-  write_model_pair(os, s.models, [&] {
-    os << ",\"cc\":\"" << hex_bits(s.cc) << '"';
-    os << ",\"cr\":\"" << hex_bits(s.cr) << '"';
-    os << ",\"last_rmse_cost\":\"" << hex_bits(s.last_rmse_cost) << '"';
-    os << ",\"last_rmse_mem\":\"" << hex_bits(s.last_rmse_mem) << '"';
-    os << ",\"last_rmse_weighted\":\"" << hex_bits(s.last_rmse_weighted)
-       << '"';
-    os << ",\"last_record_evaluated\":"
-       << (s.last_record_evaluated ? "true" : "false");
-    os << ",\"initial_rmse_cost\":\"" << hex_bits(s.initial_rmse_cost) << '"';
-    os << ",\"initial_rmse_mem\":\"" << hex_bits(s.initial_rmse_mem) << '"';
-    os << ",\"stable_streak\":" << s.stable_streak << ',';
-    write_double_array(os, "previous_cost_mu_log", s.previous_cost_mu_log);
-    os << ",\"censored_count\":" << s.censored_count;
-    os << ",\"censored_cost\":\"" << hex_bits(s.censored_cost) << '"';
-  });
-  os << ",\"iterations\":[";
-  for (std::size_t i = 0; i < s.iterations.size(); ++i) {
-    const IterationRecord& r = s.iterations[i];
-    os << (i == 0 ? "" : ",") << "{\"iteration\":" << r.iteration
-       << ",\"dataset_row\":" << r.dataset_row
-       << ",\"actual_cost\":\"" << hex_bits(r.actual_cost) << '"'
-       << ",\"actual_memory\":\"" << hex_bits(r.actual_memory) << '"'
-       << ",\"predicted_cost_log10\":\"" << hex_bits(r.predicted_cost_log10)
-       << '"' << ",\"predicted_cost_sigma\":\""
-       << hex_bits(r.predicted_cost_sigma) << '"'
-       << ",\"predicted_mem_log10\":\"" << hex_bits(r.predicted_mem_log10)
-       << '"' << ",\"predicted_mem_sigma\":\""
-       << hex_bits(r.predicted_mem_sigma) << '"'
-       << ",\"rmse_cost\":\"" << hex_bits(r.rmse_cost) << '"'
-       << ",\"rmse_mem\":\"" << hex_bits(r.rmse_mem) << '"'
-       << ",\"rmse_cost_weighted\":\"" << hex_bits(r.rmse_cost_weighted) << '"'
-       << ",\"cumulative_cost\":\"" << hex_bits(r.cumulative_cost) << '"'
-       << ",\"cumulative_regret\":\"" << hex_bits(r.cumulative_regret) << '"'
-       << ",\"candidates_before\":" << r.candidates_before
-       << ",\"censor\":" << static_cast<std::uint64_t>(r.censor) << '}';
-  }
-  os << "]}";
-  return os.str();
+std::string checkpoint_to_json(const TrajectoryCheckpoint& state) {
+  return Writer::encode(state);
 }
 
 TrajectoryCheckpoint checkpoint_from_json(const std::string& json) {
-  const JsonValue root = parse_payload(json, kVersion, "checkpoint");
-  TrajectoryCheckpoint s;
-  s.fingerprint = root.at("fingerprint").str;
-  s.passes = root.at("passes").number;
-  s.trained = root.at("trained").number;
-  s.learned = read_u64_array(root.at("learned"));
-  s.active = read_u64_array(root.at("active"));
-  s.c_learned = read_double_array(root.at("c_learned"));
-  s.m_learned = read_double_array(root.at("m_learned"));
-  s.models = read_model_pair(root, "checkpoint");
-  s.cc = read_double(root.at("cc"));
-  s.cr = read_double(root.at("cr"));
-  s.last_rmse_cost = read_double(root.at("last_rmse_cost"));
-  s.last_rmse_mem = read_double(root.at("last_rmse_mem"));
-  s.last_rmse_weighted = read_double(root.at("last_rmse_weighted"));
-  s.last_record_evaluated = root.at("last_record_evaluated").boolean;
-  s.initial_rmse_cost = read_double(root.at("initial_rmse_cost"));
-  s.initial_rmse_mem = read_double(root.at("initial_rmse_mem"));
-  s.stable_streak = root.at("stable_streak").number;
-  s.previous_cost_mu_log = read_double_array(root.at("previous_cost_mu_log"));
-  s.censored_count = root.at("censored_count").number;
-  s.censored_cost = read_double(root.at("censored_cost"));
-  for (const JsonValue& rec : root.at("iterations").array) {
-    IterationRecord r;
-    r.iteration = rec.at("iteration").number;
-    r.dataset_row = rec.at("dataset_row").number;
-    r.actual_cost = read_double(rec.at("actual_cost"));
-    r.actual_memory = read_double(rec.at("actual_memory"));
-    r.predicted_cost_log10 = read_double(rec.at("predicted_cost_log10"));
-    r.predicted_cost_sigma = read_double(rec.at("predicted_cost_sigma"));
-    r.predicted_mem_log10 = read_double(rec.at("predicted_mem_log10"));
-    r.predicted_mem_sigma = read_double(rec.at("predicted_mem_sigma"));
-    r.rmse_cost = read_double(rec.at("rmse_cost"));
-    r.rmse_mem = read_double(rec.at("rmse_mem"));
-    r.rmse_cost_weighted = read_double(rec.at("rmse_cost_weighted"));
-    r.cumulative_cost = read_double(rec.at("cumulative_cost"));
-    r.cumulative_regret = read_double(rec.at("cumulative_regret"));
-    r.candidates_before = rec.at("candidates_before").number;
-    const std::uint64_t censor = rec.at("censor").number;
-    if (censor > static_cast<std::uint64_t>(CensorKind::kNanRow)) {
-      throw std::runtime_error("checkpoint: bad censor kind");
-    }
-    r.censor = static_cast<CensorKind>(censor);
-    s.iterations.push_back(std::move(r));
+  return Reader(json, "checkpoint").decode<TrajectoryCheckpoint>();
+}
+
+std::string online_checkpoint_to_json(const OnlineCheckpoint& state) {
+  return Writer::encode(state);
+}
+
+OnlineCheckpoint online_checkpoint_from_json(const std::string& json) {
+  OnlineCheckpoint s =
+      Reader(json, "online checkpoint").decode<OnlineCheckpoint>();
+  if (s.log_cost.size() != s.visited.size() ||
+      s.log_mem.size() != s.visited.size()) {
+    throw std::runtime_error(
+        "online checkpoint: label/visited length mismatch");
   }
   return s;
 }
@@ -475,46 +544,59 @@ std::string crc32_hex(std::uint32_t crc) {
 }
 
 /// Outcome of validating one generation's bytes.
-enum class FrameStatus { kOk, kCorrupt };
-
 struct FrameResult {
-  FrameStatus status = FrameStatus::kCorrupt;
   std::string payload;
-  std::string why;  // corruption diagnosis for the final error message
+  std::string why;  // corruption diagnosis; empty when the frame is intact
+  bool ok() const { return why.empty(); }
 };
+
+/// The version, length and CRC of a header that reads exactly
+/// `ALAMR-CKPT v<digits> len=<digits> crc32=<8 hex>`; nullopt for any
+/// other spelling (a sign, a space, an overflowing number, a short CRC,
+/// trailing bytes), which is corruption like a bad CRC.
+std::optional<std::array<std::uint64_t, 3>> parse_frame_header(
+    std::string_view header) {
+  static constexpr std::array<std::string_view, 3> kLeads = {
+      kFrameMagic, " len=", " crc32="};
+  std::array<std::uint64_t, 3> out{};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (!header.starts_with(kLeads[i])) return std::nullopt;
+    header.remove_prefix(kLeads[i].size());
+    const bool crc = i + 1 == out.size();
+    const std::string_view digits =
+        header.substr(0, crc ? header.size() : header.find(' '));
+    const char* end = digits.data() + digits.size();
+    const auto [ptr, ec] =
+        std::from_chars(digits.data(), end, out[i], crc ? 16 : 10);
+    if (ec != std::errc{} || ptr != end || (crc && digits.size() != 8)) {
+      return std::nullopt;
+    }
+    header.remove_prefix(digits.size());
+  }
+  return out;
+}
 
 /// Validates a durable frame (or a pre-frame format-1 JSON file) and
 /// extracts the payload. Throws CheckpointVersionError for frames from a
 /// newer format — that is a refusal, not corruption.
 FrameResult validate_frame(const std::string& bytes,
                            const std::filesystem::path& path) {
-  FrameResult out;
   if (!bytes.empty() && bytes.front() == '{') {
     // Format 1: bare JSON, no frame. The payload codec's own version
     // field gates schema compatibility.
-    out.status = FrameStatus::kOk;
-    out.payload = bytes;
-    return out;
+    return {bytes, ""};
   }
-  if (bytes.size() < kFrameMagic.size() ||
-      std::string_view(bytes).substr(0, kFrameMagic.size()) != kFrameMagic) {
-    out.why = "bad frame magic";
-    return out;
-  }
+  if (!bytes.starts_with(kFrameMagic)) return {"", "bad frame magic"};
   const std::size_t header_end = bytes.find('\n');
   if (header_end == std::string::npos) {
-    out.why = "unterminated frame header";
-    return out;
+    return {"", "unterminated frame header"};
   }
-  const std::string header = bytes.substr(0, header_end);
-  unsigned long long version = 0;
-  unsigned long long length = 0;
-  unsigned crc = 0;
-  if (std::sscanf(header.c_str(), "ALAMR-CKPT v%llu len=%llu crc32=%8x",
-                  &version, &length, &crc) != 3) {
-    out.why = "malformed frame header '" + header + "'";
-    return out;
+  const std::string_view header = std::string_view(bytes).substr(0, header_end);
+  const auto fields = parse_frame_header(header);
+  if (!fields.has_value()) {
+    return {"", "malformed frame header '" + std::string(header) + "'"};
   }
+  const auto [version, length, crc] = *fields;
   if (version > kCheckpointFormatVersion) {
     throw CheckpointVersionError(
         "checkpoint: " + path.string() + " has format version " +
@@ -524,17 +606,11 @@ FrameResult validate_frame(const std::string& bytes,
   const std::string_view payload =
       std::string_view(bytes).substr(header_end + 1);
   if (payload.size() != length) {
-    out.why = "payload length " + std::to_string(payload.size()) +
-              " != header len " + std::to_string(length);
-    return out;
+    return {"", "payload length " + std::to_string(payload.size()) +
+                    " != header len " + std::to_string(length)};
   }
-  if (crc32(payload) != crc) {
-    out.why = "crc32 mismatch";
-    return out;
-  }
-  out.status = FrameStatus::kOk;
-  out.payload = std::string(payload);
-  return out;
+  if (crc32(payload) != crc) return {"", "crc32 mismatch"};
+  return {std::string(payload), ""};
 }
 
 /// Reads a whole file; consults the io.partial_read fault site, which
@@ -643,19 +719,19 @@ std::optional<std::string> load_durable_payload(
     found_any = true;
     ++rep.generations_scanned;
     FrameResult frame = validate_frame(*bytes, gen);
-    if (frame.status != FrameStatus::kOk) {
+    if (!frame.ok()) {
       // One retry: a short read is transient (the file on disk may be
       // fine), a torn write is not — the reread distinguishes them.
       bytes = read_file(gen);
       if (bytes.has_value()) {
         frame = validate_frame(*bytes, gen);
-        if (frame.status == FrameStatus::kOk) {
+        if (frame.ok()) {
           ++rep.read_retries;
           trace::count("resilience.io_read_retries");
         }
       }
     }
-    if (frame.status == FrameStatus::kOk) {
+    if (frame.ok()) {
       rep.loaded_from = gen;
       return frame.payload;
     }
@@ -710,88 +786,6 @@ std::optional<TrajectoryCheckpoint> load_checkpoint(
 
 void remove_checkpoint(const std::filesystem::path& path, std::size_t retain) {
   remove_durable_payload(path, retain);
-}
-
-// ---- Online-run checkpoint ------------------------------------------------
-
-std::string online_checkpoint_to_json(const OnlineCheckpoint& s) {
-  std::ostringstream os;
-  os << "{\"version\":" << kOnlineVersion << ",";
-  os << "\"kind\":\"online\",";
-  os << "\"fingerprint\":";
-  write_escaped(os, s.fingerprint);
-  os << ",\"al_iterations_done\":" << s.al_iterations_done << ',';
-  write_u64_array(os, "visited", s.visited);
-  os << ',';
-  write_u64_array(os, "skipped", s.skipped);
-  os << ',';
-  write_double_array(os, "log_cost", s.log_cost);
-  os << ',';
-  write_double_array(os, "log_mem", s.log_mem);
-  os << ',';
-  write_model_pair(os, s.models, [&] {
-    os << ",\"cc\":\"" << hex_bits(s.cc) << '"';
-    os << ",\"cr\":\"" << hex_bits(s.cr) << '"';
-    os << ",\"oracle_giveups\":" << s.oracle_giveups;
-    os << ",\"exhausted_safe_candidates\":"
-       << (s.exhausted_safe_candidates ? "true" : "false");
-  });
-  os << ",\"records\":[";
-  for (std::size_t i = 0; i < s.records.size(); ++i) {
-    const OnlineRecord& r = s.records[i];
-    os << (i == 0 ? "" : ",") << "{\"grid_row\":" << r.grid_row
-       << ",\"cost\":\"" << hex_bits(r.cost) << '"'
-       << ",\"memory\":\"" << hex_bits(r.memory) << '"'
-       << ",\"predicted_cost_log10\":\"" << hex_bits(r.predicted_cost_log10)
-       << '"' << ",\"predicted_mem_log10\":\""
-       << hex_bits(r.predicted_mem_log10) << '"'
-       << ",\"cumulative_cost\":\"" << hex_bits(r.cumulative_cost) << '"'
-       << ",\"cumulative_regret\":\"" << hex_bits(r.cumulative_regret) << '"'
-       << ",\"initial_phase\":" << (r.initial_phase ? "true" : "false")
-       << '}';
-  }
-  os << "]}";
-  return os.str();
-}
-
-OnlineCheckpoint online_checkpoint_from_json(const std::string& json) {
-  const JsonValue root =
-      parse_payload(json, kOnlineVersion, "online checkpoint");
-  if (const JsonValue* kind = root.find("kind");
-      kind == nullptr || kind->str != "online") {
-    throw std::runtime_error(
-        "online checkpoint: payload is not an online-run checkpoint");
-  }
-  OnlineCheckpoint s;
-  s.fingerprint = root.at("fingerprint").str;
-  s.al_iterations_done = root.at("al_iterations_done").number;
-  s.visited = read_u64_array(root.at("visited"));
-  s.skipped = read_u64_array(root.at("skipped"));
-  s.log_cost = read_double_array(root.at("log_cost"));
-  s.log_mem = read_double_array(root.at("log_mem"));
-  if (s.log_cost.size() != s.visited.size() ||
-      s.log_mem.size() != s.visited.size()) {
-    throw std::runtime_error(
-        "online checkpoint: label/visited length mismatch");
-  }
-  s.models = read_model_pair(root, "online checkpoint");
-  s.cc = read_double(root.at("cc"));
-  s.cr = read_double(root.at("cr"));
-  s.oracle_giveups = root.at("oracle_giveups").number;
-  s.exhausted_safe_candidates = root.at("exhausted_safe_candidates").boolean;
-  for (const JsonValue& rec : root.at("records").array) {
-    OnlineRecord r;
-    r.grid_row = rec.at("grid_row").number;
-    r.cost = read_double(rec.at("cost"));
-    r.memory = read_double(rec.at("memory"));
-    r.predicted_cost_log10 = read_double(rec.at("predicted_cost_log10"));
-    r.predicted_mem_log10 = read_double(rec.at("predicted_mem_log10"));
-    r.cumulative_cost = read_double(rec.at("cumulative_cost"));
-    r.cumulative_regret = read_double(rec.at("cumulative_regret"));
-    r.initial_phase = rec.at("initial_phase").boolean;
-    s.records.push_back(r);
-  }
-  return s;
 }
 
 void save_online_checkpoint(const OnlineCheckpoint& state,

@@ -1297,16 +1297,16 @@ void ResilientBackend::restore_state(const std::string& state) {
   if (rest.size() != inner_len) {
     throw std::runtime_error("resilient backend: inner state length mismatch");
   }
+  std::unique_ptr<PosteriorBackend> inner = make_inner(ladder_[rung]);
+  inner->restore_state(std::string(rest));
 
+  // Everything parsed: commit. A throw above leaves this backend as it was.
+  parsed_thetas.resize(ladder_.size());
   rung_ = rung;
   health_ = static_cast<res::Health>(health);
   breaker_.restore(counters[0], counters[1], counters[2], counters[3]);
-  for (std::size_t r = 0; r < rung_theta_.size(); ++r) {
-    rung_theta_[r] = r < parsed_thetas.size() ? parsed_thetas[r]
-                                              : std::vector<double>{};
-  }
-  inner_ = make_inner(ladder_[rung_]);
-  inner_->restore_state(std::string(rest));
+  rung_theta_ = std::move(parsed_thetas);
+  inner_ = std::move(inner);
 }
 
 std::unique_ptr<PosteriorBackend> make_resilient_backend(

@@ -4,10 +4,12 @@
 //   - byte pins: a fixed TrajectoryCheckpoint and a fixed OnlineCheckpoint
 //     serialize to literals captured before the model fields moved into
 //     the shared ModelPairState block, and those literals still parse;
+//     a value of the wrong JSON type or past 2^64 does not;
 //   - the local-experts centroid reader's malformed-shape cases;
-//   - a seeded mutation fuzz of the four readers (both checkpoint
-//     payloads, the local-experts and resilient backend states): every
-//     mutated input either round-trips or throws std::runtime_error.
+//   - a seeded mutation fuzz of six readers (both checkpoint payloads,
+//     the local-experts and resilient backend states, the fault-plan
+//     spec and the dataset CSV): every mutated input either round-trips
+//     or throws the reader's documented exception type.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,8 @@
 #include <vector>
 
 #include "alamr/core/checkpoint.hpp"
+#include "alamr/core/faults.hpp"
+#include "alamr/data/csv.hpp"
 #include "alamr/gp/backend.hpp"
 #include "alamr/gp/kernels.hpp"
 #include "alamr/stats/rng.hpp"
@@ -228,6 +232,55 @@ TEST(CheckpointBytes, PinnedPayloadsParseInEitherHexCase) {
   }
 }
 
+/// `text` with its first `from` replaced by `to`.
+std::string replaced(std::string text, std::string_view from,
+                     std::string_view to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+TEST(CheckpointBytes, WrongTypeOrOverflowThrows) {
+  const std::string past_u64 = "18446744073709551618";  // 2^64 + 2
+  const std::string traj = kTrajectoryPin;
+  for (const std::string& text :
+       {replaced(traj, "\"passes\":2", "\"passes\":\"2\""),
+        replaced(traj, "\"passes\":2", "\"passes\":" + past_u64),
+        replaced(traj, "\"last_record_evaluated\":false",
+                 "\"last_record_evaluated\":1"),
+        replaced(traj, "\"learned\":[4,", "\"learned\":[\"4\","),
+        replaced(traj, "\"fingerprint\":\"fp-traj", "\"fingerprint\":7,\"x\":\""),
+        replaced(traj, "\"cc\":\"0x4029000000000000\"", "\"cc\":12")}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(checkpoint_from_json(text), std::runtime_error);
+  }
+  const std::string online = kOnlinePin;
+  for (const std::string& text :
+       {replaced(online, "\"oracle_giveups\":2", "\"oracle_giveups\":\"2\""),
+        replaced(online, "\"oracle_giveups\":2",
+                 "\"oracle_giveups\":" + past_u64),
+        replaced(online, "\"exhausted_safe_candidates\":true",
+                 "\"exhausted_safe_candidates\":1"),
+        replaced(online, "\"words\":[6271748679462446236,",
+                 "\"words\":[" + past_u64 + ",")}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(online_checkpoint_from_json(text), std::runtime_error);
+  }
+  // The record list as another type, in an otherwise well-formed payload.
+  const std::string iterations = "\"iterations\":";
+  const std::string records = "\"records\":";
+  for (const char* other : {"3", "{}", "\"[]\"", "true"}) {
+    SCOPED_TRACE(other);
+    EXPECT_THROW(checkpoint_from_json(traj.substr(0, traj.find(iterations)) +
+                                      iterations + other + "}"),
+                 std::runtime_error);
+    EXPECT_THROW(online_checkpoint_from_json(
+                     online.substr(0, online.find(records)) + records + other +
+                     "}"),
+                 std::runtime_error);
+  }
+}
+
 // ---- local-experts centroid state -----------------------------------------
 
 std::unique_ptr<gp::PosteriorBackend> local_experts(std::size_t experts = 2) {
@@ -310,8 +363,68 @@ TEST(LocalExpertsState, DimensionMismatchThrowsAtFirstFit) {
 
 constexpr std::size_t kMutations = 2000;
 
+/// The end of the JSON value that starts at `pos`: a string, a bracketed
+/// run or a bare token.
+std::size_t value_end(const std::string& s, std::size_t pos) {
+  std::size_t depth = 0;
+  bool in_string = false;
+  for (std::size_t i = pos; i < s.size(); ++i) {
+    const char c = s[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+        if (depth == 0) return i + 1;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '[' || c == '{') {
+      ++depth;
+    } else if (c == ']' || c == '}' || c == ',') {
+      if (depth == 0) return i;
+      if (c != ',' && --depth == 0) return i + 1;
+    }
+  }
+  return s.size();
+}
+
+/// Replaces a value after a ':', '[' or ',' with one of another JSON type
+/// (string, number, bool, array, object).
+void swap_type(std::string& s, stats::Rng& rng) {
+  static const std::vector<std::string> kValues = {
+      "\"2\"", "\"0x3ff0000000000000\"", "2", "0", "true", "false",
+      "[]", "[1]", "{}"};
+  const std::size_t at = s.find_first_of(":[,", rng.uniform_index(s.size() + 1));
+  if (at == std::string::npos) return;
+  const std::size_t end = value_end(s, at + 1);
+  const auto kind = [](char c) {
+    return c == 't' ? 'f' : (c >= '0' && c <= '9') ? '0' : c;
+  };
+  const char old_kind = at + 1 < s.size() ? kind(s[at + 1]) : ' ';
+  std::string value = kValues[rng.uniform_index(kValues.size())];
+  while (kind(value[0]) == old_kind) {
+    value = kValues[rng.uniform_index(kValues.size())];
+  }
+  s.replace(at + 1, end - (at + 1), value);
+}
+
+/// Pushes a run of decimal digits past 2^64 - 1.
+void overflow_digits(std::string& s, stats::Rng& rng) {
+  static const std::vector<std::string> kPast = {
+      "18446744073709551616", "18446744073709551618", "99999999999999999999",
+      "184467440737095516150"};
+  const std::size_t begin =
+      s.find_first_of("0123456789", rng.uniform_index(s.size() + 1));
+  if (begin == std::string::npos) return;
+  const std::size_t end = s.find_first_not_of("0123456789", begin);
+  s.replace(begin, (end == std::string::npos ? s.size() : end) - begin,
+            kPast[rng.uniform_index(kPast.size())]);
+}
+
 /// One to three edits of `seed`: replace, insert, delete a run, truncate,
-/// splice a slice of the text elsewhere, or write an arbitrary byte.
+/// splice a slice of the text elsewhere, write an arbitrary byte, swap a
+/// value's JSON type, or push a number past 2^64.
 std::string mutate(const std::string& seed, stats::Rng& rng) {
   static constexpr std::string_view kAlphabet =
       "0123456789abcdefABCDEFx,;:|=\"{}[]\\-. vtrn";
@@ -322,7 +435,7 @@ std::string mutate(const std::string& seed, stats::Rng& rng) {
   const std::size_t edits = 1 + rng.uniform_index(3);
   for (std::size_t e = 0; e < edits; ++e) {
     const std::size_t pos = rng.uniform_index(s.size() + 1);
-    switch (rng.uniform_index(6)) {
+    switch (rng.uniform_index(8)) {
       case 0:
         if (pos < s.size()) s[pos] = pick();
         break;
@@ -340,6 +453,12 @@ std::string mutate(const std::string& seed, stats::Rng& rng) {
         s.insert(pos, s.substr(from, 1 + rng.uniform_index(24)));
         break;
       }
+      case 5:
+        swap_type(s, rng);
+        break;
+      case 6:
+        overflow_digits(s, rng);
+        break;
       default:
         if (pos < s.size()) s[pos] = static_cast<char>(rng.uniform_index(256));
         break;
@@ -350,8 +469,9 @@ std::string mutate(const std::string& seed, stats::Rng& rng) {
 
 /// Feeds kMutations mutations of `seeds` to `round_trip`, which parses its
 /// input and writes the parsed state back. An input must either throw
-/// std::runtime_error or parse to a state whose written form parses back
-/// to itself; any other exception fails the test.
+/// `Rejection` or parse to a state whose written form parses back to
+/// itself; any other exception fails the test.
+template <typename Rejection = std::runtime_error>
 void fuzz(const std::vector<std::string>& seeds,
           const std::function<std::string(const std::string&)>& round_trip,
           std::uint64_t seed) {
@@ -367,12 +487,12 @@ void fuzz(const std::vector<std::string>& seeds,
       const std::string once = round_trip(input);
       EXPECT_EQ(round_trip(once), once) << "mutation " << i << ": " << input;
       ++accepted;
-    } catch (const std::runtime_error&) {
+    } catch (const Rejection&) {
       ++rejected;
     } catch (const std::exception& e) {
       ADD_FAILURE() << "mutation " << i << " threw " << typeid(e).name()
-                    << " (" << e.what() << "), not std::runtime_error: "
-                    << input;
+                    << " (" << e.what() << "), not "
+                    << typeid(Rejection).name() << ": " << input;
     }
   }
   // Both outcomes must be exercised, or the mutations test nothing.
@@ -438,6 +558,32 @@ TEST(CodecFuzz, ResilientStateReader) {
          return backend->save_state();
        },
        104);
+}
+
+TEST(CodecFuzz, FaultPlanParser) {
+  fuzz<std::invalid_argument>(
+      {"seed=7;acquire.oom:p=0.05;opt.diverge:hits=3|9;"
+       "cholesky.non_psd:p=1,max=2",
+       "io.torn_write:hits=2;io.partial_read:hits=0|4", "seed=19;data.nan_row:p=0.03", ""},
+      [](const std::string& text) {
+        return faults::FaultPlan::parse(text).to_string();
+      },
+      105);
+}
+
+TEST(CodecFuzz, CsvReader) {
+  data::Dataset d;
+  d.feature_names = {"p", "mx", "r0"};
+  d.x = linalg::Matrix{{4.0, 8.0, 0.2}, {32.0, 32.0, 0.5}, {16.0, 8.0, 1e-3}};
+  d.wallclock = {1.97, 4262.73, 12.5};
+  d.cost = {0.002, 11.853, 0.25};
+  d.memory = {0.02, 32.56, 1.5};
+  fuzz({data::to_csv_string(d), "a,b,wallclock_s,cost_nh,maxrss_mb\r\n"
+                               "1,-2.5,3,4,5\r\n\r\n0,0,1e-3,2e3,7\r\n"},
+       [](const std::string& text) {
+         return data::to_csv_string(data::from_csv_string(text));
+       },
+       106);
 }
 
 }  // namespace

@@ -161,6 +161,52 @@ TEST(DurableCheckpoint, NewerFormatVersionRefusedAndFileKept) {
   remove_durable_payload(path);
 }
 
+TEST(DurableCheckpoint, LooseFrameHeadersAreQuarantinedNotObeyed) {
+  // The header must read exactly "ALAMR-CKPT v<digits> len=<digits>
+  // crc32=<8 hex>". Anything looser is corruption: quarantined, and the
+  // older generation loads. The files are written directly (no save), so
+  // an armed io.torn_write plan cannot touch them.
+  const fs::path path = temp_path("alamr_durable_header.ckpt");
+  const std::string older = "older state";
+  const std::string newer = "newer state";
+  const std::string len = std::to_string(newer.size());
+  char crc_hex[12];
+  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", crc32(newer));
+  const std::string crc = crc_hex;
+  for (const std::string& header :
+       {"ALAMR-CKPT v-1 len=" + len + " crc32=" + crc,
+        "ALAMR-CKPT v18446744073709551618 len=" + len + " crc32=" + crc,
+        "ALAMR-CKPT v 2 len=" + len + " crc32=" + crc,
+        "ALAMR-CKPT v+2 len=" + len + " crc32=" + crc,
+        "ALAMR-CKPT v2 len=+" + len + " crc32=" + crc,
+        "ALAMR-CKPT v2  len=" + len + " crc32=" + crc,
+        "ALAMR-CKPT v2 len=" + len + " crc32=" + crc.substr(6),
+        "ALAMR-CKPT v2 len=" + len + " crc32=" + crc + " trailing",
+        "ALAMR-CKPT v2 len=" + len + " crc32=0x" + crc.substr(2)}) {
+    SCOPED_TRACE(header);
+    {
+      std::ofstream out(checkpoint_generation_path(path, 1),
+                        std::ios::binary | std::ios::trunc);
+      out << frame_payload(older);
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << header << '\n' << newer;
+    }
+    CheckpointLoadReport report;
+    const auto payload = load_durable_payload(path, 3, &report);
+    ASSERT_TRUE(payload.has_value());
+    EXPECT_EQ(*payload, older);
+    EXPECT_EQ(report.fallbacks, 1u);
+    ASSERT_EQ(report.quarantined.size(), 1u);
+    EXPECT_EQ(report.quarantined[0], fs::path(path).concat(".bad"));
+    EXPECT_FALSE(fs::exists(path));
+  }
+  remove_durable_payload(path, 3);
+  std::error_code ec;
+  fs::remove(fs::path(path).concat(".bad"), ec);
+}
+
 TEST(DurableCheckpoint, LegacyBareJsonStillLoads) {
   const fs::path path = temp_path("alamr_durable_legacy.ckpt");
   {

@@ -232,6 +232,49 @@ TEST(OnlineLadder, ExternalEventsTripBreakerDegradeAndHalfOpenRecover) {
   EXPECT_TRUE(backend->fitted());
 }
 
+TEST(OnlineLadder, RestoreThatThrowsLeavesTheBackendAsItWas) {
+  // A degraded backend handed a decorated state whose inner local-experts
+  // state is malformed: the restore throws, and the backend keeps its
+  // rung, breaker, saved state and predictions.
+  gp::BackendOptions options;
+  options.kind = gp::BackendKind::kLocalExperts;
+  options.experts = 2;
+  options.min_expert_size = 2;
+  gp::GprOptions quiet;
+  quiet.optimize = false;
+  res::Options resilience;
+  resilience.breaker_threshold = 3;
+  resilience.probe_after = 1000;  // no half-open probe during the test
+  auto backend = gp::make_resilient_backend(
+      options, resilience, [] { return gp::make_paper_kernel(); }, quiet);
+  auto* guarded = dynamic_cast<gp::ResilientBackend*>(backend.get());
+  ASSERT_NE(guarded, nullptr);
+
+  LadderFixture data;
+  Rng rng(5);
+  backend->fit(data.x, data.y, rng);
+  for (int i = 0; i < 3; ++i) {
+    guarded->record_external_event(res::Event::kAcquireTimeout);
+  }
+  backend->predict(data.x);  // the tripped breaker steps the ladder
+  ASSERT_EQ(guarded->rung(), 1u);
+  const gp::Prediction before = backend->predict(data.x);
+  const std::string saved = backend->save_state();
+
+  const std::string inner = "centroids v1;2x2;0x3ff0000000000000";  // 1 cell
+  EXPECT_THROW(
+      backend->restore_state(
+          "resil v1;rung=0;health=0;breaker=0,0,0,0;thetas=;inner=" +
+          std::to_string(inner.size()) + ":" + inner),
+      std::runtime_error);
+  EXPECT_EQ(guarded->rung(), 1u);
+  EXPECT_EQ(guarded->health(), res::Health::kDegraded);
+  EXPECT_EQ(backend->save_state(), saved);
+  const gp::Prediction after = backend->predict(data.x);
+  EXPECT_EQ(after.mean, before.mean);
+  EXPECT_EQ(after.stddev, before.stddev);
+}
+
 TEST(OnlineLadder, NonPsdPlanWalksExactToSodToPriorMean) {
   // Every Cholesky attempt vetoed, forever: exact fails, the
   // subset-of-data rebuild fails too, and the ladder lands on the
